@@ -77,6 +77,11 @@ class Encoder:
         return tuple(self.alphabet.index_of(c) for c in CONTROL_LETTERS)
 
     @cached_property
+    def generator_matrices(self) -> tuple[matsem.SparseMatrix, matsem.SparseMatrix]:
+        """Letter-count matrices of g1 and g2, built once per encoder."""
+        return matrix_of(self.g1), matrix_of(self.g2)
+
+    @cached_property
     def final_index(self) -> int:
         return self.alphabet.index_of(FINAL_LETTER)
 
@@ -280,8 +285,8 @@ def q_side_morphism(enc: Encoder, n: int, s: int, cap: int | None = None) -> Mor
 
 
 def matrices(enc: Encoder) -> tuple[matsem.SparseMatrix, matsem.SparseMatrix]:
-    """Letter-count matrices of the two generators."""
-    return matrix_of(enc.g1), matrix_of(enc.g2)
+    """Letter-count matrices of the two generators (cached on the encoder)."""
+    return enc.generator_matrices
 
 
 # ---------------------------------------------------------------------------

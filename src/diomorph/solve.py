@@ -27,11 +27,25 @@ identical letter trajectories on both sides.  The solver checks these
 support facts from the data for every candidate; if they ever failed, it
 would fall back to materializing the four control images under the
 expansion cap rather than guess.
+
+Where control images are materialized (to confirm a bridge verdict, or as
+that fallback), the same trajectory argument saves work: the prefixes
+``g2²`` and ``g2³`` only route each control letter to a single letter, and
+only two distinct letters (``c2`` and ``c3``) come out, so the shared
+suffix is applied twice rather than eight times.
+
+Each point's equation is built once: the generator matrices are cached on
+the encoder, and :func:`equivalence_report` computes the two sides once per
+point and shares them with the four solvers it runs.  A found witness is
+re-verified by folding the start matrix along it afresh, row by row with a
+different kernel from the search's.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Iterator, Sequence
@@ -47,7 +61,8 @@ from .encode import (
     q_side_word,
 )
 from .errors import ExpansionCapExceeded
-from .lang import word
+from .lang import Word, word
+from .morph import apply
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +159,26 @@ class SolveResult:
         return self.outcome == "found"
 
 
-def _matrix_of_generator_word(
-    step1: matsem.SparseMatrix, step2: matsem.SparseMatrix, gens: Sequence[int]
-) -> matsem.SparseMatrix:
-    acc = matsem.identity(step1.dimension)
-    for symbol in gens:
-        acc = matsem.mat_mul(acc, step1 if symbol == 1 else step2)
-    return acc
+def _check_refold(
+    start: matsem.SparseMatrix,
+    step1: matsem.SparseMatrix,
+    step2: matsem.SparseMatrix,
+    x: Sequence[int],
+    product: matsem.SparseMatrix,
+) -> None:
+    """Re-verify an incrementally carried product ``start·X(x)``.
+
+    Folds ``start`` along ``x`` afresh, one row at a time with
+    :func:`matsem.vec_mat` (a different kernel from the search's
+    :func:`matsem.mat_mul`), so the check stays as thin as the start matrix.
+    """
+    entries: list[tuple[int, int, int]] = []
+    for i, row in start.rows.items():
+        for symbol in x:
+            row = matsem.vec_mat(row, step1 if symbol == 1 else step2)
+        entries.extend((i, j, v) for j, v in row.items())
+    if matsem.matrix(start.dimension, entries) != product:
+        raise AssertionError("incremental state diverged")
 
 
 def _live_nodes(
@@ -215,10 +243,8 @@ def solve_one_unknown(
     for level in _paired_live_nodes(a, b, step1, step2, max_len):
         for x, left, right in level:
             if left == right:
-                # independent recomputation: multiply the full word product
-                big = _matrix_of_generator_word(step1, step2, x)
-                assert matsem.mat_mul(a, big) == left, "incremental state diverged"
-                assert matsem.mat_mul(b, big) == right, "incremental state diverged"
+                _check_refold(a, step1, step2, x, left)
+                _check_refold(b, step1, step2, x, right)
                 return SolveResult(
                     outcome="found",
                     level="matrix",
@@ -261,10 +287,8 @@ def solve_two_unknowns(
     )
     for _total, x, y, left, right in candidates:
         if left == right:
-            big_x = _matrix_of_generator_word(step1, step2, x)
-            big_y = _matrix_of_generator_word(step1, step2, y)
-            assert matsem.mat_mul(a, big_x) == left, "incremental state diverged"
-            assert matsem.mat_mul(b, big_y) == right, "incremental state diverged"
+            _check_refold(a, step1, step2, x, left)
+            _check_refold(b, step1, step2, y, right)
             return SolveResult(
                 outcome="found",
                 level="matrix",
@@ -287,13 +311,37 @@ def solve_two_unknowns(
 # ---------------------------------------------------------------------------
 
 
-def _equation_start_matrices(
-    enc: Encoder, n: int, s: int
-) -> tuple[matsem.SparseMatrix, matsem.SparseMatrix, matsem.SparseMatrix, matsem.SparseMatrix]:
+Sides = tuple[
+    matsem.SparseMatrix, matsem.SparseMatrix, matsem.SparseMatrix, matsem.SparseMatrix
+]
+
+# The sides (a, b, m1, m2) of the point that equivalence_report is working
+# on.  Its solver calls go through the public functions, whose signatures do
+# not carry the sides, and pick them up here instead of rebuilding them.
+_point_sides: ContextVar[tuple[Encoder, int, int, Sides] | None] = ContextVar(
+    "diomorph_point_sides", default=None
+)
+
+
+def _equation_sides(enc: Encoder, n: int, s: int) -> Sides:
+    held = _point_sides.get()
+    if held is not None and held[0] is enc and held[1:3] == (n, s):
+        return held[3]
     m1, m2 = matrices(enc)
     a = matsem.p_side_matrix(m1, m2, n, s)
     b = matsem.q_side_matrix(m1, m2, n, s)
     return a, b, m1, m2
+
+
+@contextmanager
+def _sides_of_point(enc: Encoder, n: int, s: int) -> Iterator[Sides]:
+    """Compute one point's sides once; solvers called inside the block reuse them."""
+    sides = _equation_sides(enc, n, s)
+    token = _point_sides.set((enc, n, s, sides))
+    try:
+        yield sides
+    finally:
+        _point_sides.reset(token)
 
 
 def _control_rows_only(enc: Encoder, m: matsem.SparseMatrix) -> bool:
@@ -333,13 +381,35 @@ def _word_level_equal(
 ) -> bool | None:
     """Directly compare the four control images of both sides, if affordable.
 
+    Both side words end in the same suffix ``argument_word((n, s)) + x``;
+    they differ only in the prefix (``g2²`` against ``g2³``), which routes a
+    control letter to a single letter: ``c0`` to ``c2`` on one side and to
+    ``c3`` on the other, ``c1``, ``c2`` and ``c3`` to ``c3`` on both.  So
+    each control letter is routed through its prefix, and the suffix is
+    applied once per distinct routed word (memoized within the call): two
+    trajectories instead of eight.  The routed words come from the data, so
+    were they ever to differ, both sides would be computed.  A reused image
+    was computed without tripping the expansion cap, so the verdict is the
+    one that eight separate applications give.
+
     Returns None when materialization exceeds the expansion cap."""
+    argument = argument_word((n, s))
+    suffix = argument + tuple(x)
+    p_prefix = p_side_word(n, s)[: -len(argument)]
+    q_prefix = q_side_word(n, s)[: -len(argument)]
+    images: dict[tuple[tuple[str, int], ...], Word] = {}
+
+    def image(letter: str, prefix: tuple[int, ...]) -> Word:
+        routed = word(enc.alphabet, [letter])
+        for symbol in prefix:
+            routed = apply(enc.generator(symbol), routed, cap=cap)
+        if routed.runs not in images:
+            images[routed.runs] = apply_generator_word(enc, routed, suffix, cap=cap)
+        return images[routed.runs]
+
     try:
         for letter in CONTROL_LETTERS:
-            start = word(enc.alphabet, [letter])
-            left = apply_generator_word(enc, start, p_side_word(n, s) + tuple(x), cap=cap)
-            right = apply_generator_word(enc, start, q_side_word(n, s) + tuple(x), cap=cap)
-            if left != right:
+            if image(letter, p_prefix) != image(letter, q_prefix):
                 return False
         return True
     except ExpansionCapExceeded:
@@ -353,7 +423,7 @@ def solve_one_unknown_words(
     and nonannihilating as maps on words."""
     if max_len < 0:
         raise ValueError("maximum length must be nonnegative")
-    a, b, m1, m2 = _equation_start_matrices(enc, n, s)
+    a, b, m1, m2 = _equation_sides(enc, n, s)
     undecided = 0
     for level in _paired_live_nodes(a, b, m1, m2, max_len):
         for x, left, right in level:
@@ -368,8 +438,7 @@ def solve_one_unknown_words(
                     )
                 if confirmed:
                     method = "parikh-bridge+word"
-                big = _matrix_of_generator_word(m1, m2, x)
-                assert matsem.mat_mul(a, big) == left, "incremental state diverged"
+                _check_refold(a, m1, m2, x, left)
                 return SolveResult(
                     outcome="found",
                     level="morphism",
@@ -413,7 +482,7 @@ def solve_two_unknowns_words(
     """Morphism-level pair search ordered by (|x|+|y|, x, y)."""
     if max_len < 0:
         raise ValueError("maximum length must be nonnegative")
-    a, b, m1, m2 = _equation_start_matrices(enc, n, s)
+    a, b, m1, m2 = _equation_sides(enc, n, s)
     lefts = [node for level in _live_nodes(a, m1, m2, max_len) for node in level]
     rights = [node for level in _live_nodes(b, m1, m2, max_len) for node in level]
     candidates = sorted(
@@ -427,8 +496,7 @@ def solve_two_unknowns_words(
         if left != right:
             continue
         if _halves_containment(enc, left, right):
-            big_x = _matrix_of_generator_word(m1, m2, x)
-            assert matsem.mat_mul(a, big_x) == left, "incremental state diverged"
+            _check_refold(a, m1, m2, x, left)
             return SolveResult(
                 outcome="found",
                 level="morphism",
@@ -604,11 +672,11 @@ def equivalence_report(
     rows: list[PointVerdict] = []
     for n, s in points:
         oracle_witness = diophantine_oracle(p, q, n, s, oracle_bound)
-        a, b, m1, m2 = _equation_start_matrices(enc, n, s)
-        matrix_one = solve_one_unknown(a, b, m1, m2, solver_bound)
-        matrix_two = solve_two_unknowns(a, b, m1, m2, solver_bound)
-        morphism_one = solve_one_unknown_words(enc, n, s, solver_bound, cap=cap)
-        morphism_two = solve_two_unknowns_words(enc, n, s, solver_bound, cap=cap)
+        with _sides_of_point(enc, n, s) as (a, b, m1, m2):
+            matrix_one = solve_one_unknown(a, b, m1, m2, solver_bound)
+            matrix_two = solve_two_unknowns(a, b, m1, m2, solver_bound)
+            morphism_one = solve_one_unknown_words(enc, n, s, solver_bound, cap=cap)
+            morphism_two = solve_two_unknowns_words(enc, n, s, solver_bound, cap=cap)
 
         caveats: list[str] = []
         agree = (

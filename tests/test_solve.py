@@ -1,5 +1,11 @@
 """Tests for the bounded solvers and the arithmetic oracle."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,6 +226,37 @@ def test_morphism_level_trivial_and_empty(trivial_encoder, empty_encoder):
     assert missing.outcome == "exhausted"
 
 
+def test_word_confirmation_cap_boundary(trivial_encoder):
+    # at (1, 3) the two control trajectories need more than 300k runs but fit
+    # the default cap: the bridge verdict stands either way, and only the
+    # default cap adds the word-level confirmation
+    capped = solve_one_unknown_words(trivial_encoder, 1, 3, 6, cap=300_000)
+    full = solve_one_unknown_words(trivial_encoder, 1, 3, 6)
+    assert capped.method == "parikh-bridge"
+    assert full.method == "parikh-bridge+word"
+    assert capped.witness == full.witness == (1, 2)
+    first, second = encode.matrices(trivial_encoder), encode.matrices(trivial_encoder)
+    assert first[0] is second[0] and first[1] is second[1]
+
+
+def test_refold_check_survives_optimize_flag():
+    # the witness re-verification is a guarantee, so `python -O` must keep it
+    code = (
+        "from diomorph import matsem, solve\n"
+        "m = matsem.identity(2)\n"
+        "solve._check_refold(m, m, m, (1,), m)\n"
+        "try:\n"
+        "    solve._check_refold(m, m, m, (1,), matsem.zeros(2))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(solve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # Equivalence report
 # ---------------------------------------------------------------------------
@@ -238,6 +275,38 @@ def test_equivalence_report_squares_small(squares_encoder):
         if row.oracle_found:
             assert row.matrix_one.witness == row.morphism_one.witness
             assert row.matrix_two.pair == row.morphism_two.pair
+
+
+# sha256 of the machine rendering at points (1,1), (1,2), (1,4) with oracle
+# bound 5 and solver bound 6, recorded before the report shared one equation
+# per point between its solvers; the output must stay byte-identical
+GOLDEN_REPORT_SHA256 = {
+    "toy_encoder": "7be3fc718a96b043fac778dc46d573923f02ef8a23106d20f08df89422272741",
+    "squares_encoder": "1fc706b51e199b90bd880f98a6d4d63be600bea6ef43a4c1a4ee62617bb8eaeb",
+    "trivial_encoder": "1aed676ad5b7c8aae3e3436f286342e204bd9c6a33591d31ff4a224d606b4535",
+    "empty_encoder": "3cf1f3a797b6a3ca34229e750d0ae35afcdbc52954600bdcfcc9d916ef90583e",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_REPORT_SHA256))
+def test_equivalence_report_machine_output_is_pinned(fixture, request):
+    enc = request.getfixturevalue(fixture)
+    report = equivalence_report(
+        enc.p, enc.q, [(1, 1), (1, 2), (1, 4)], 5, 6, encoder=enc
+    )
+    digest = hashlib.sha256(report.render("machine").encode()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[fixture]
+
+
+def test_equivalence_report_builds_each_point_once(toy_encoder, monkeypatch):
+    built = []
+    real = matsem.p_side_matrix
+    monkeypatch.setattr(
+        matsem, "p_side_matrix", lambda *args: built.append(args[2:]) or real(*args)
+    )
+    p, q = toy_encoder.p, toy_encoder.q
+    equivalence_report(p, q, [(1, 1), (2, 2)], 3, 3, encoder=toy_encoder)
+    assert built == [(1, 1), (2, 2)]
 
 
 def test_equivalence_report_machine_rendering_is_deterministic(squares_encoder):
