@@ -9,11 +9,13 @@ p = q on positive integers.
 Construction outline.  Both polynomials are first composed with an injective
 tupling polynomial so that the last argument slot records the polynomial
 value alongside the input tuple (see :func:`diomorph.poly.injective_tupling`).
-The two tupled polynomials are compiled into independent staged counters
-(:func:`diomorph.mtriple.compile_polynomial`), their alphabets are merged
-side by side with ``A:``/``B:`` tags, and four fresh control letters
-``c0..c3`` are prepended.  The control letters steer which counter an
-equation side addresses:
+The two tupled polynomials become two staged counters: the monomial
+systems of both are laid out side by side in one pass
+(:func:`diomorph.mtriple.lay_out`), the first polynomial's letters tagged
+``A:`` and the second's ``B:``, each counter named exactly as
+:func:`diomorph.mtriple.compile_polynomial` would name it alone, and four
+fresh control letters ``c0..c3`` are prepended.  The control letters steer
+which counter an equation side addresses:
 
 * ``c0 . g2 = c1``, ``c1 . g2 = c2``, ``c2 . g2 = c3``, ``c3 . g2 = c3``;
 * ``c2 . g1`` starts the first counter (the image of the first counter's
@@ -31,14 +33,14 @@ which by injectivity of the tupling happens exactly when p = q at the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
 from . import matsem, mtriple, poly
 from .config import alphabet_budget, expansion_cap
-from .errors import AlphabetBudgetExceeded, ArityMismatch, ExpansionCapExceeded
-from .lang import LeveledAlphabet, Letter, Word, epsilon, letter_power, translate, word
+from .errors import ArityMismatch, ExpansionCapExceeded
+from .lang import LeveledAlphabet, Letter, Word, epsilon, letter_power, word, word_concat
 from .morph import (
     Morphism,
     apply,
@@ -124,14 +126,6 @@ class Encoder:
         return mtriple.MTriple(self.alphabet, self.g1, self.g2, self.dimension)
 
 
-def _tag_map(source: LeveledAlphabet, tag: str) -> dict[Letter, Letter]:
-    """Rename a counter's letters into the merged alphabet; 'e' is shared."""
-    return {
-        letter: (FINAL_LETTER if letter == FINAL_LETTER else f"{tag}:{letter}")
-        for letter in source.letters
-    }
-
-
 def build_encoder(
     p: poly.Polynomial,
     q: poly.Polynomial,
@@ -162,56 +156,26 @@ def build_encoder(
     p_tupled = poly.compose(tupling, slots + [p])
     q_tupled = poly.compose(tupling, slots + [q])
 
-    first = mtriple.compile_polynomial(p_tupled, budget=limit)
-    second = mtriple.compile_polynomial(q_tupled, budget=limit)
+    first = mtriple.monomial_parts(p_tupled, budget=limit)
+    second = mtriple.monomial_parts(q_tupled, budget=limit)
+    tags = [f"{FIRST_TAG}:"] * len(first) + [f"{SECOND_TAG}:"] * len(second)
+    alphabet, g1_images, g2_images, witnesses = mtriple.lay_out(
+        first + second, tags, head=CONTROL_LETTERS, budget=limit,
+        context="merged encoder alphabet")
+    u = reduce(word_concat, witnesses[:len(first)])
+    v = reduce(word_concat, witnesses[len(first):])
 
-    first_map = _tag_map(first.triple.alphabet, FIRST_TAG)
-    second_map = _tag_map(second.triple.alphabet, SECOND_TAG)
-
-    letters: list[Letter] = list(CONTROL_LETTERS)
-    sizes: list[int] = []
-    for level in range(1, t + 2):
-        block: list[Letter] = []
-        for source, mapping in ((first, first_map), (second, second_map)):
-            for letter in source.triple.level(level):
-                if letter != FINAL_LETTER:
-                    block.append(mapping[letter])
-        if level == t + 1:
-            block.append(FINAL_LETTER)
-        letters.extend(block)
-        sizes.append(len(block) + (len(CONTROL_LETTERS) if level == 1 else 0))
-    if len(letters) > limit:
-        raise AlphabetBudgetExceeded(len(letters), limit, "merged encoder alphabet")
-
-    alphabet = LeveledAlphabet(tuple(letters), tuple(sizes))
-
-    def moved(source: mtriple.ComputableMap, mapping: dict[Letter, Letter], w: Word) -> Word:
-        return translate(w, mapping, alphabet)
-
-    u = moved(first, first_map, first.witness)
-    v = moved(second, second_map, second.witness)
-
-    g1_images: dict[Letter, Word] = {
-        "c0": epsilon(alphabet),
-        "c1": epsilon(alphabet),
-        "c2": moved(first, first_map, apply(first.triple.g1, first.witness)),
-        "c3": moved(second, second_map, apply(second.triple.g1, second.witness)),
-        FINAL_LETTER: epsilon(alphabet),
-    }
-    g2_images: dict[Letter, Word] = {
-        "c0": word(alphabet, ["c1"]),
-        "c1": word(alphabet, ["c2"]),
-        "c2": word(alphabet, ["c3"]),
-        "c3": word(alphabet, ["c3"]),
-        FINAL_LETTER: epsilon(alphabet),
-    }
-    for source, mapping in ((first, first_map), (second, second_map)):
-        for letter in source.triple.alphabet.letters:
-            if letter == FINAL_LETTER:
-                continue
-            g1_images[mapping[letter]] = moved(source, mapping, source.triple.g1.image(letter))
-            g2_images[mapping[letter]] = moved(source, mapping, source.triple.g2.image(letter))
-
+    # c2 and c3 start the two counters: their g1 images are u.g1 and v.g1
+    eps = epsilon(alphabet)
+    g1_images.update(c0=eps, c1=eps, c2=eps, c3=eps)
+    counters_g1 = endomorphism(alphabet, g1_images)
+    g1_images.update(c2=apply(counters_g1, u), c3=apply(counters_g1, v))
+    g2_images.update(
+        c0=word(alphabet, ["c1"]),
+        c1=word(alphabet, ["c2"]),
+        c2=word(alphabet, ["c3"]),
+        c3=word(alphabet, ["c3"]),
+    )
     g1 = endomorphism(alphabet, g1_images)
     g2 = endomorphism(alphabet, g2_images)
     return Encoder(alphabet, g1, g2, u, v, t, p, q, p_tupled, q_tupled)
@@ -269,11 +233,6 @@ def word_morphism(enc: Encoder, gens: Iterable[int], cap: int | None = None) -> 
     for symbol in gens:
         result = compose(result, enc.generator(symbol), cap=cap)
     return result
-
-
-def argument_chain(enc: Encoder, counts: Sequence[int], cap: int | None = None) -> Morphism:
-    """The composite g1^n1 g2 ... g1^nk g2 as one morphism (may hit the cap)."""
-    return word_morphism(enc, argument_word(counts), cap=cap)
 
 
 def p_side_morphism(enc: Encoder, n: int, s: int, cap: int | None = None) -> Morphism:

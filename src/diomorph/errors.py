@@ -13,6 +13,10 @@ class AlphabetMismatch(ValueError):
     """A word or morphism was used with an alphabet it does not belong to."""
 
 
+class InvalidAlphabet(ValueError):
+    """A leveled alphabet is empty, repeats a letter, or has bad level sizes."""
+
+
 class DimensionMismatch(ValueError):
     """Matrix operands (or M-triple summands) disagree on dimension."""
 

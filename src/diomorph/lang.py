@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .config import expansion_cap
-from .errors import AlphabetMismatch, ExpansionCapExceeded
+from .errors import AlphabetMismatch, ExpansionCapExceeded, InvalidAlphabet
 
 Letter = str
 
@@ -39,12 +39,16 @@ class LeveledAlphabet:
     level_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.letters, "alphabet must be nonempty"
+        if not self.letters:
+            raise InvalidAlphabet("alphabet must be nonempty")
         for name in self.letters:
             _check_letter_name(name)
-        assert len(set(self.letters)) == len(self.letters), "duplicate letters"
-        assert all(s >= 1 for s in self.level_sizes), "levels must be nonempty"
-        assert sum(self.level_sizes) == len(self.letters), "levels must cover the alphabet"
+        if len(set(self.letters)) != len(self.letters):
+            raise InvalidAlphabet("duplicate letters")
+        if not all(s >= 1 for s in self.level_sizes):
+            raise InvalidAlphabet("levels must be nonempty")
+        if sum(self.level_sizes) != len(self.letters):
+            raise InvalidAlphabet("levels must cover the alphabet")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -165,15 +169,6 @@ def _require_same_alphabet(a: Word, b: Word) -> None:
 def word_concat(a: Word, b: Word) -> Word:
     _require_same_alphabet(a, b)
     return Word(a.alphabet, _normalize_runs(list(a.runs) + list(b.runs)))
-
-
-def concat_all(alphabet: LeveledAlphabet, words: Iterable[Word]) -> Word:
-    pairs: list[tuple[Letter, int]] = []
-    for w in words:
-        if w.alphabet != alphabet:
-            raise AlphabetMismatch("words live over different alphabets")
-        pairs.extend(w.runs)
-    return Word(alphabet, _normalize_runs(pairs))
 
 
 def word_power(a: Word, k: int, cap: int | None = None) -> Word:

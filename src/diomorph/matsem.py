@@ -205,10 +205,3 @@ def q_side_matrix(step1: SparseMatrix, step2: SparseMatrix, n: int, s: int) -> S
     """step2³ · argument_matrix(n, s): the right side of the matrix equation."""
     _require_same_dimension(step1, step2)
     return _fold_argument(mat_pow(step2, 3), step1, step2, (n, s))
-
-
-def matrices_of_encoder(enc) -> tuple[SparseMatrix, SparseMatrix]:
-    """Letter-count matrices of the encoder's two generator morphisms."""
-    from .morph import matrix_of  # deferred: morph builds on this module
-
-    return matrix_of(enc.g1), matrix_of(enc.g2)

@@ -14,9 +14,11 @@ Built here:
 * the power gadget: a 2^k-letter morphism whose n-fold iteration turns one
   letter into n^k copies of the last letter (rows of the k-fold Kronecker
   power of [[1,1],[0,1]]), plus the trivial gadget for exponent zero;
-* monomial systems, their merge (disjoint union sharing one e), nonnegative
-  linear combinations via witness repetition, and the fold that compiles an
-  arbitrary nonzero polynomial with nonnegative coefficients;
+* monomial systems; one layout routine that sets any number of systems side
+  by side, level by level, in a single pass (a disjoint union sharing one e);
+  nonnegative linear combinations via witness repetition; and the compile
+  step that lays out all monomial systems of a nonzero polynomial with
+  nonnegative coefficients at once;
 * evaluation, word-level when feasible and via letter-count matrices when
   the intermediate words would blow past the expansion cap.
 """
@@ -24,6 +26,7 @@ Built here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from . import lang, matsem, morph, poly
@@ -258,49 +261,69 @@ def monomial_mtriple(exponents: Sequence[int], budget: int | None = None) -> Com
 
 # ------------------------------------------------------------------ combination
 
+def lay_out(systems: Sequence[ComputableMap], tags: Sequence[str] | None = None,
+            head: Sequence[Letter] = (), budget: int | None = None,
+            context: str = "side-by-side layout",
+            ) -> tuple[LeveledAlphabet, dict[Letter, Word], dict[Letter, Word], list[Word]]:
+    """Lay systems of equal dimension side by side, level by level, in one pass.
+
+    Within each level, system k's block follows the blocks of systems
+    1..k-1, and its letters are named "{tag}{level}.{position}", where the
+    positions count only the systems sharing system k's tag (no tags: one
+    shared empty tag).  The final letter e is shared and the ``head``
+    letters open the first level.  Returns the merged alphabet, the g1 and
+    g2 image tables (every image translated once; the caller supplies the
+    head letters' images) and each system's translated witness.
+    """
+    t = systems[0].triple.dimension
+    for c in systems:
+        if c.triple.dimension != t:
+            raise DimensionMismatch(f"dimensions {t} and {c.triple.dimension} differ")
+    tags = tags or [""] * len(systems)
+    renamings = [{c.triple.final_letter: "e"} for c in systems]
+    letters: list[Letter] = list(head)
+    sizes: list[int] = []
+    for li in range(1, t + 1):
+        filled = dict.fromkeys(tags, 0)
+        for c, tag, renaming in zip(systems, tags, renamings):
+            for a in c.triple.level(li):
+                filled[tag] += 1
+                renaming[a] = f"{tag}{li}.{filled[tag]}"
+                letters.append(renaming[a])
+        sizes.append(len(letters) - sum(sizes))
+    letters.append("e")
+    sizes.append(1)
+    limit = alphabet_budget(budget)
+    if len(letters) > limit:
+        raise AlphabetBudgetExceeded(len(letters), limit, context)
+    merged = LeveledAlphabet(tuple(letters), tuple(sizes))
+
+    eps = lang.epsilon(merged)
+    g1: dict[Letter, Word] = {"e": eps}
+    g2: dict[Letter, Word] = {"e": eps}
+    for c, renaming in zip(systems, renamings):
+        triple = c.triple
+        for a, image1, image2 in zip(triple.alphabet.letters[:-1], triple.g1.images, triple.g2.images):
+            g1[renaming[a]] = lang.translate(image1, renaming, merged)
+            g2[renaming[a]] = lang.translate(image2, renaming, merged)
+    witnesses = [lang.translate(c.witness, renaming, merged)
+                 for c, renaming in zip(systems, renamings)]
+    return merged, g1, g2, witnesses
+
+
 def direct_sum_maps(left: ComputableMap, right: ComputableMap,
                     budget: int | None = None) -> tuple[ComputableMap, ComputableMap]:
     """Merge two systems of equal dimension into one with a shared final letter.
 
-    Levels are concatenated side by side (left part first) and every letter
-    is re-addressed to the canonical "level.position" scheme; both witnesses
-    come back translated into the merged alphabet.
+    The two-system case of :func:`lay_out`: in each level the left part
+    comes first, every letter gets the canonical "level.position" name, and
+    both witnesses come back translated into the merged alphabet.
     """
-    ft, gt = left.triple, right.triple
-    t = ft.dimension
-    if gt.dimension != t:
-        raise DimensionMismatch(f"dimensions {t} and {gt.dimension} differ")
-
-    sizes = [len(ft.level(i)) + len(gt.level(i)) for i in range(1, t + 1)]
-    limit = alphabet_budget(budget)
-    if sum(sizes) + 1 > limit:
-        raise AlphabetBudgetExceeded(sum(sizes) + 1, limit, "direct sum of two systems")
-    merged = _leveled_names(sizes)
-
-    def renaming(triple: MTriple, offset_of) -> dict[Letter, Letter]:
-        out = {triple.final_letter: "e"}
-        for li in range(1, t + 1):
-            block = merged.levels[li - 1]
-            for local, a in enumerate(triple.level(li)):
-                out[a] = block[offset_of(li) + local]
-        return out
-
-    rename_left = renaming(ft, lambda li: 0)
-    rename_right = renaming(gt, lambda li: len(ft.level(li)))
-
-    def merge_images(g_left: Morphism, g_right: Morphism) -> Morphism:
-        table = {"e": lang.epsilon(merged)}
-        for a in ft.alphabet.letters[:-1]:
-            table[rename_left[a]] = lang.translate(g_left.image(a), rename_left, merged)
-        for a in gt.alphabet.letters[:-1]:
-            table[rename_right[a]] = lang.translate(g_right.image(a), rename_right, merged)
-        return morph.endomorphism(merged, table)
-
-    triple = MTriple(merged, merge_images(ft.g1, gt.g1), merge_images(ft.g2, gt.g2), t)
-    return (
-        ComputableMap(triple, lang.translate(left.witness, rename_left, merged), left.polynomial),
-        ComputableMap(triple, lang.translate(right.witness, rename_right, merged), right.polynomial),
-    )
+    merged, g1, g2, (u, v) = lay_out([left, right], budget=budget,
+                                     context="direct sum of two systems")
+    triple = MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),
+                     left.triple.dimension)
+    return ComputableMap(triple, u, left.polynomial), ComputableMap(triple, v, right.polynomial)
 
 
 def repeat_witness(c: ComputableMap, times: int) -> ComputableMap:
@@ -325,8 +348,8 @@ def linear_combination(left: ComputableMap, right: ComputableMap,
     return ComputableMap(merged_left.triple, witness, combined)
 
 
-def compile_polynomial(p: poly.Polynomial, budget: int | None = None) -> ComputableMap:
-    """Fold the monomial systems of a nonzero polynomial into one map.
+def monomial_parts(p: poly.Polynomial, budget: int | None = None) -> list[ComputableMap]:
+    """One monomial system per term of a nonzero polynomial, in term order.
 
     Each coefficient enters as a witness repetition count, never by
     duplicating alphabet letters.
@@ -337,16 +360,21 @@ def compile_polynomial(p: poly.Polynomial, budget: int | None = None) -> Computa
         repeat_witness(monomial_mtriple(exps, budget), coeff)
         for exps, coeff in p.terms
     ]
-    acc = parts[0]
-    for part in parts[1:]:
-        merged_acc, merged_part = direct_sum_maps(acc, part, budget)
-        acc = ComputableMap(
-            merged_acc.triple,
-            lang.word_concat(merged_acc.witness, merged_part.witness),
-            poly.add(merged_acc.polynomial, merged_part.polynomial),
-        )
-    assert acc.polynomial == p
-    return acc
+    if poly.polynomial(p.arity, [term for c in parts for term in c.polynomial.terms]) != p:
+        raise AssertionError("monomial systems do not sum to the polynomial")
+    return parts
+
+
+def compile_polynomial(p: poly.Polynomial, budget: int | None = None) -> ComputableMap:
+    """Lay out the monomial systems of a nonzero polynomial as one map.
+
+    The witness is the concatenation of the parts' witnesses in term order.
+    """
+    merged, g1, g2, witnesses = lay_out(monomial_parts(p, budget), budget=budget,
+                                        context="monomial systems of one polynomial")
+    triple = MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),
+                     p.arity)
+    return ComputableMap(triple, reduce(lang.word_concat, witnesses), p)
 
 
 # ------------------------------------------------------------------ evaluation

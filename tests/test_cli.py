@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,15 @@ def test_budget_env_variable_is_honoured(toy_files, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_compile_budget_boundary(toy_files, tmp_path, capsys):
+    # the toy encoder has exactly 227 letters
+    p_path, q_path = toy_files
+    base = ["compile", "--p", p_path, "--q", q_path, "-o", str(tmp_path / "enc.json")]
+    assert main(base + ["--alphabet-budget", "227"]) == cli.EXIT_OK
+    assert main(base + ["--alphabet-budget", "226"]) == cli.EXIT_BUDGET
+    assert "needs 227 > budget 226" in capsys.readouterr().err
+
+
 def test_bad_env_variable_is_bad_input(toy_files, monkeypatch, capsys):
     p_path, q_path = toy_files
     monkeypatch.setenv("DIOMORPH_ALPHABET_BUDGET", "many")
@@ -194,6 +207,38 @@ def test_solve_two_unknowns_flag(toy_encoder_file, capsys):
     assert main(args) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["pair"] == [[], []]
+
+
+# each case corrupts the toy encoder's alphabet (letters, level sizes)
+BAD_ALPHABETS = {
+    "duplicate letters": lambda letters, sizes: (letters[:1] + letters[:-1], sizes),
+    "alphabet must be nonempty": lambda letters, sizes: ([], []),
+    "levels must be nonempty": lambda letters, sizes: (letters, sizes[:1] + [0] + sizes[1:]),
+    "levels must cover the alphabet": lambda letters, sizes: (letters, sizes[:-1] + [sizes[-1] + 1]),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+@pytest.mark.parametrize("message", sorted(BAD_ALPHABETS))
+def test_solve_rejects_bad_alphabet_documents(message, flags, tmp_path, toy_encoder):
+    # alphabet checks raise typed errors, so `python -O` must not change the verdict
+    doc = interchange.encoder_to_doc(toy_encoder)
+    alphabet = doc["alphabet"]
+    alphabet["letters"], alphabet["level_sizes"] = BAD_ALPHABETS[message](
+        alphabet["letters"], alphabet["level_sizes"])
+    path = tmp_path / "bad.json"
+    path.write_text(interchange.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, *flags, "-m", "diomorph.cli", "solve", "--encoder", str(path),
+         "-n", "1", "-s", "1", "--max-len", "1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == cli.EXIT_BAD_INPUT
+    assert run.stdout == ""
+    assert run.stderr == f"error: {message}\n"
 
 
 def test_solve_on_squares_encoder_file(squares_files, capsys):

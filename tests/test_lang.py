@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diomorph import lang, poly
-from diomorph.errors import AlphabetMismatch, ExpansionCapExceeded
+from diomorph.errors import AlphabetMismatch, ExpansionCapExceeded, InvalidAlphabet
 
 Z = lang.flat_alphabet(["z1", "z2", "z3", "e"])
 
@@ -26,7 +26,7 @@ def test_alphabet_rejects_bad_names():
         lang.flat_alphabet(["ok", "has space"])
     with pytest.raises(ValueError):
         lang.flat_alphabet(["z^2"])
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidAlphabet, match="duplicate letters"):
         lang.flat_alphabet(["dup", "dup"])
 
 

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +220,103 @@ def test_compile_mixed():
 def test_compile_rejects_zero():
     with pytest.raises(ValueError):
         mtriple.compile_polynomial(poly.zero(2))
+
+
+def test_parts_sum_check_survives_optimize_flag():
+    # the parts summing to p is a guarantee, so `python -O` must keep the check
+    code = (
+        "from diomorph import mtriple, poly\n"
+        "good = mtriple.repeat_witness\n"
+        "mtriple.repeat_witness = lambda c, times: good(c, times + 1)\n"
+        "try:\n"
+        "    mtriple.compile_polynomial(poly.variable(1, 2))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(mtriple.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+# ---------------------------------------------------------------- one-pass layout
+
+def _reference_direct_sum(left, right):
+    """The pairwise merge that the one-pass layout replaced, kept as its reference.
+
+    Returns both translated witnesses and the merged triple.
+    """
+    ft, gt = left.triple, right.triple
+    t = ft.dimension
+    sizes = [len(ft.level(i)) + len(gt.level(i)) for i in range(1, t + 1)]
+    blocks = [[f"{li}.{j + 1}" for j in range(size)] for li, size in enumerate(sizes, start=1)]
+    merged = lang.leveled_alphabet(blocks + [["e"]])
+
+    def renaming(triple, offset_of):
+        out = {triple.final_letter: "e"}
+        for li in range(1, t + 1):
+            for local, a in enumerate(triple.level(li)):
+                out[a] = merged.levels[li - 1][offset_of(li) + local]
+        return out
+
+    rename_left = renaming(ft, lambda li: 0)
+    rename_right = renaming(gt, lambda li: len(ft.level(li)))
+
+    def merge_images(g_left, g_right):
+        table = {"e": lang.epsilon(merged)}
+        for a in ft.alphabet.letters[:-1]:
+            table[rename_left[a]] = lang.translate(g_left.image(a), rename_left, merged)
+        for a in gt.alphabet.letters[:-1]:
+            table[rename_right[a]] = lang.translate(g_right.image(a), rename_right, merged)
+        return morph.endomorphism(merged, table)
+
+    triple = mtriple.MTriple(merged, merge_images(ft.g1, gt.g1), merge_images(ft.g2, gt.g2), t)
+    return (lang.translate(left.witness, rename_left, merged),
+            lang.translate(right.witness, rename_right, merged), triple)
+
+
+def _reference_fold(p):
+    """compile_polynomial as a pairwise fold of the monomial systems."""
+    parts = [mtriple.repeat_witness(mtriple.monomial_mtriple(exps), coeff)
+             for exps, coeff in p.terms]
+    acc = parts[0]
+    for part in parts[1:]:
+        u, v, triple = _reference_direct_sum(acc, part)
+        acc = mtriple.ComputableMap(triple, lang.word_concat(u, v),
+                                    poly.add(acc.polynomial, part.polynomial))
+    return acc
+
+
+@st.composite
+def layout_polys(draw):
+    """Arity 2-3, at most 6 terms, total degree at most 3, coefficients at most 3."""
+    arity = draw(st.integers(2, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * arity).filter(lambda e: sum(e) <= 3)
+    return poly.polynomial(
+        arity, draw(st.dictionaries(exponents, st.integers(1, 3), min_size=1, max_size=6)))
+
+
+@given(layout_polys())
+@settings(max_examples=40, deadline=None)
+def test_one_pass_layout_matches_pairwise_fold(p):
+    c, ref = mtriple.compile_polynomial(p), _reference_fold(p)
+    assert c.triple == ref.triple
+    assert c.witness == ref.witness
+    assert c.polynomial == ref.polynomial == p
+
+
+def test_direct_sum_matches_pairwise_reference():
+    pairs = [
+        (mtriple.monomial_mtriple([2]), mtriple.monomial_mtriple([1])),
+        (mtriple.compile_polynomial(poly.polynomial(2, {(1, 0): 2, (0, 2): 1})),
+         mtriple.compile_polynomial(poly.polynomial(2, {(1, 1): 3}))),
+    ]
+    for a, b in pairs:
+        merged_a, merged_b = mtriple.direct_sum_maps(a, b)
+        u, v, triple = _reference_direct_sum(a, b)
+        assert merged_a.triple == merged_b.triple == triple
+        assert (merged_a.witness, merged_b.witness) == (u, v)
 
 
 # ---------------------------------------------------------------- validation details
