@@ -8,6 +8,10 @@ equality.  The pipeline routinely produces words like a single letter raised
 to an astronomically large power — RLE keeps those exact without ever
 materializing them.
 
+Words are validated where they come from outside: built from letter names,
+run pairs or text.  Operations whose output is normal by construction (such
+as ``morph.apply``) build it through ``_normal_word`` and skip the check.
+
 Operations that must produce uncompressed data (``expand``) or an unbounded
 number of runs (``word_power`` of a multi-run word, morphism application
 downstream) accept an expansion cap and fail loudly, never truncate.
@@ -101,15 +105,19 @@ def flat_alphabet(letters: Sequence[Letter]) -> LeveledAlphabet:
 
 @dataclass(frozen=True)
 class Word:
+    """A word in run normal form; constructing one checks every run."""
     alphabet: LeveledAlphabet
     runs: tuple[tuple[Letter, int], ...]
 
     def __post_init__(self):
         prev = None
         for letter, count in self.runs:
-            assert letter in self.alphabet, f"letter {letter!r} not in alphabet"
-            assert count >= 1, "run counts must be positive"
-            assert letter != prev, "adjacent runs must have distinct letters"
+            if letter not in self.alphabet:
+                raise AlphabetMismatch(f"letter {letter!r} not in alphabet")
+            if count < 1:
+                raise ValueError("run counts must be positive")
+            if letter == prev:
+                raise ValueError("adjacent runs must have distinct letters")
             prev = letter
 
     @property
@@ -137,6 +145,13 @@ def _normalize_runs(pairs: Iterable[tuple[Letter, int]]) -> tuple[tuple[Letter, 
         else:
             runs.append((letter, count))
     return tuple(runs)
+
+
+def _normal_word(alphabet: LeveledAlphabet, runs: tuple[tuple[Letter, int], ...]) -> Word:
+    """Word from runs already in normal form over ``alphabet``; nothing is re-checked."""
+    w = object.__new__(Word)
+    w.__dict__.update(alphabet=alphabet, runs=runs)
+    return w
 
 
 def word(alphabet: LeveledAlphabet, letters: Iterable[Letter]) -> Word:
@@ -242,4 +257,4 @@ def parse_word(alphabet: LeveledAlphabet, s: str) -> Word:
             pairs.append((letter, int(count_text)))
         else:
             pairs.append((letter, 1))
-    return word_from_runs(alphabet, pairs)
+    return _normal_word(alphabet, _normalize_runs(pairs))

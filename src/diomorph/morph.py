@@ -30,9 +30,10 @@ class Morphism:
     images: tuple[Word, ...]  # aligned with domain.letters
 
     def __post_init__(self):
-        assert len(self.images) == len(self.domain.letters), "one image per domain letter"
-        for img in self.images:
-            assert img.alphabet == self.codomain, "images must live over the codomain"
+        if len(self.images) != len(self.domain.letters):
+            raise AlphabetMismatch("one image per domain letter")
+        if any(img.alphabet != self.codomain for img in self.images):
+            raise AlphabetMismatch("images must live over the codomain")
 
     @property
     def is_endomorphism(self) -> bool:
@@ -85,21 +86,28 @@ def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
     if w.alphabet != m.domain:
         raise AlphabetMismatch("word is not over the morphism's domain")
     limit = expansion_cap(cap)
-    pairs: list[tuple[Letter, int]] = []
+    position = m.domain._positions  # every letter of w is in the domain
+    runs: list[tuple[Letter, int]] = []
+    unmerged = 0  # runs of the plain concatenation of images, which the cap counts
     for letter, count in w.runs:
-        img = m.images[m.domain.index_of(letter)]
-        if not img.runs:
-            continue
-        if len(img.runs) == 1:
-            z, c = img.runs[0]
-            pairs.append((z, c * count))
-        else:
-            needed = len(pairs) + len(img.runs) * count
-            if needed > limit:
+        img = m.images[position[letter]].runs
+        if len(img) == 1:
+            unmerged += 1
+            piece = ((img[0][0], img[0][1] * count),)
+        elif img:
+            unmerged += len(img) * count
+            if unmerged > limit:
                 raise ExpansionCapExceeded(
-                    needed, limit, f"image of run {letter}^{count} under application")
-            pairs.extend(img.runs * count)
-    return lang.word_from_runs(m.codomain, pairs)
+                    unmerged, limit, f"image of run {letter}^{count} under application")
+            # img^count is normal unless img starts and ends with the same letter
+            piece = lang._normalize_runs(img * count) if img[0][0] == img[-1][0] else img * count
+        else:
+            continue
+        if runs and runs[-1][0] == piece[0][0]:
+            runs[-1] = (piece[0][0], runs[-1][1] + piece[0][1])
+            piece = piece[1:]
+        runs.extend(piece)
+    return lang._normal_word(m.codomain, tuple(runs))
 
 
 def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:
@@ -136,29 +144,6 @@ def power(m: Morphism, k: int, cap: int | None = None) -> Morphism:
     for _ in range(k):
         acc = compose(acc, m, cap)
     return acc
-
-
-def direct_sum(f: Morphism, g: Morphism) -> Morphism:
-    """Endomorphism on the disjoint union acting as f on one part, g on the other.
-
-    Letters keep their names (the parts must not share any); the combined
-    alphabet lists f's letters first, with both level partitions preserved
-    side by side.
-    """
-    if not (f.is_endomorphism and g.is_endomorphism):
-        raise AlphabetMismatch("direct sum needs endomorphisms")
-    overlap = set(f.domain.letters) & set(g.domain.letters)
-    if overlap:
-        raise AlphabetMismatch(f"alphabets must be disjoint, both contain {sorted(overlap)}")
-    combined = LeveledAlphabet(
-        f.domain.letters + g.domain.letters,
-        f.domain.level_sizes + g.domain.level_sizes,
-    )
-    images = tuple(
-        lang.word_from_runs(combined, img.runs)
-        for img in f.images + g.images
-    )
-    return Morphism(combined, combined, images)
 
 
 def parikh_vector(w: Word) -> matsem.Vector:

@@ -1,13 +1,33 @@
-"""Shared fixtures: the two encoders used across the test suite.
+"""Shared fixtures: the encoders used across the test suite, and a runner
+for fresh interpreters.
 
-Both are session-scoped — building the three-variable instance compiles two
-polynomials with dozens of monomials into a 5433-letter alphabet, which is
-too slow to repeat per test.
+The encoders are session-scoped — building the three-variable instance
+compiles two polynomials with dozens of monomials into a 5433-letter
+alphabet, which is too slow to repeat per test.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diomorph
 from diomorph import encode, poly
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Runs ``python *args`` in a subprocess that imports the diomorph under test.
+
+    Tests pass ``-O`` to check that a guarantee survives the stripping of
+    asserts; keyword arguments go to ``subprocess.run``.
+    """
+    src = str(Path(diomorph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return lambda *args, **kwargs: subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
 @pytest.fixture(scope="session")

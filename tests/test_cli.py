@@ -1,10 +1,6 @@
 """End-to-end tests for the command-line driver."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -220,7 +216,7 @@ BAD_ALPHABETS = {
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 @pytest.mark.parametrize("message", sorted(BAD_ALPHABETS))
-def test_solve_rejects_bad_alphabet_documents(message, flags, tmp_path, toy_encoder):
+def test_solve_rejects_bad_alphabet_documents(message, flags, tmp_path, toy_encoder, run_python):
     # alphabet checks raise typed errors, so `python -O` must not change the verdict
     doc = interchange.encoder_to_doc(toy_encoder)
     alphabet = doc["alphabet"]
@@ -228,13 +224,10 @@ def test_solve_rejects_bad_alphabet_documents(message, flags, tmp_path, toy_enco
         alphabet["letters"], alphabet["level_sizes"])
     path = tmp_path / "bad.json"
     path.write_text(interchange.dumps(doc))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, *flags, "-m", "diomorph.cli", "solve", "--encoder", str(path),
-         "-n", "1", "-s", "1", "--max-len", "1"],
-        env=env, capture_output=True, text=True,
+    run = run_python(
+        *flags, "-m", "diomorph.cli", "solve", "--encoder", str(path),
+        "-n", "1", "-s", "1", "--max-len", "1",
+        capture_output=True, text=True,
     )
     assert run.returncode == cli.EXIT_BAD_INPUT
     assert run.stdout == ""

@@ -126,6 +126,7 @@ def test_text_round_trip():
     w = lang.word_from_runs(Z, [("z1", 2), ("z2", 1), ("e", 179)])
     assert lang.text(w) == "z1^2 z2 e^179"
     assert lang.parse_word(Z, "z1^2 z2 e^179") == w
+    assert lang.parse_word(Z, "z1 z1 z2 e e^178") == w
     assert lang.parse_word(Z, "") == lang.epsilon(Z)
     assert lang.text(lang.epsilon(Z)) == ""
 
@@ -198,3 +199,16 @@ def test_normal_form_is_canonical(a):
 @settings(max_examples=100)
 def test_text_parse_round_trip(a):
     assert lang.parse_word(Z, lang.text(a)) == a
+
+
+run_lists = st.lists(st.tuples(letters, st.integers(1, 3)), max_size=8)
+
+
+@given(run_lists)
+@settings(max_examples=200)
+def test_parse_word_matches_word_from_runs(runs):
+    # run lists like "z1 z1^2 e e", not in normal form
+    text = " ".join(z if n == 1 else f"{z}^{n}" for z, n in runs)
+    w = lang.parse_word(Z, text)
+    assert w == lang.word_from_runs(Z, runs)
+    assert lang.Word(w.alphabet, w.runs) == w

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diomorph import lang, matsem, morph
+from diomorph.config import expansion_cap
 from diomorph.errors import AlphabetMismatch, ExpansionCapExceeded
 
 Z = lang.flat_alphabet(["z1", "z2"])
@@ -34,8 +35,42 @@ def test_table_must_not_overflow():
 
 def test_images_must_live_over_codomain():
     other = lang.flat_alphabet(["y"])
-    with pytest.raises(AssertionError):
+    with pytest.raises(AlphabetMismatch):
         morph.endomorphism(Z, {"z1": lang.word(other, ["y"]), "z2": lang.word(Z, [])})
+
+
+# each bad construction, with the error type and message it must raise
+BAD_CONSTRUCTIONS = {
+    "letter outside the alphabet": (
+        "lang.Word(Z, (('y', 1),))", "AlphabetMismatch: letter 'y' not in alphabet"),
+    "nonpositive count": (
+        "lang.Word(Z, (('z1', 0),))", "ValueError: run counts must be positive"),
+    "equal adjacent letters": (
+        "lang.Word(Z, (('z1', 1), ('z1', 2)))", "ValueError: adjacent runs must have distinct letters"),
+    "missing image": (
+        "morph.Morphism(Z, Z, (lang.epsilon(Z),))", "AlphabetMismatch: one image per domain letter"),
+    "image over another alphabet": (
+        "morph.Morphism(Z, Z, (lang.epsilon(Z), lang.epsilon(lang.flat_alphabet(['y']))))",
+        "AlphabetMismatch: images must live over the codomain"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRUCTIONS))
+def test_bad_constructions_raise_typed_errors(case, flags, run_python):
+    # the checks raise rather than assert, so `python -O` must not change them
+    expr, expected = BAD_CONSTRUCTIONS[case]
+    code = (
+        "from diomorph import lang, morph\n"
+        "Z = lang.flat_alphabet(['z1', 'z2'])\n"
+        "try:\n"
+        f"    {expr}\n"
+        "except ValueError as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    run = run_python(*flags, "-c", code, capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stdout == expected + "\n"
 
 
 # ---------------------------------------------------------------- apply
@@ -71,6 +106,71 @@ def test_apply_multi_run_images_capped():
 def test_apply_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
         morph.apply(H, lang.word(Z4, ["z1"]))
+
+
+def reference_apply(m, w, cap=None):
+    """The plain concatenation of images, re-normalized through word_from_runs."""
+    if w.alphabet != m.domain:
+        raise AlphabetMismatch("word is not over the morphism's domain")
+    limit = expansion_cap(cap)
+    pairs = []
+    for letter, count in w.runs:
+        img = m.images[m.domain.index_of(letter)]
+        if not img.runs:
+            continue
+        if len(img.runs) == 1:
+            z, c = img.runs[0]
+            pairs.append((z, c * count))
+        else:
+            needed = len(pairs) + len(img.runs) * count
+            if needed > limit:
+                raise ExpansionCapExceeded(
+                    needed, limit, f"image of run {letter}^{count} under application")
+            pairs.extend(img.runs * count)
+    return lang.word_from_runs(m.codomain, pairs)
+
+
+def test_apply_cap_counts_runs_before_merging():
+    # z1^3 z2 z1^3 maps to (z1 z2 z1)^3 z1 (z1 z2 z1)^3: 19 runs before
+    # merging, 13 after, and only 7 when the second z1^3 is checked
+    m = mk(Z, {"z1": "z1 z2 z1", "z2": "z1"})
+    w = lang.parse_word(Z, "z1^3 z2 z1^3")
+    assert lang.text(morph.apply(m, w, cap=19)) == "z1 z2 z1^2 z2 z1^2 z2 z1^3 z2 z1^2 z2 z1^2 z2 z1"
+    with pytest.raises(ExpansionCapExceeded) as err:
+        morph.apply(m, w, cap=18)
+    assert (err.value.needed, err.value.cap) == (19, 18)
+
+
+Z3 = lang.flat_alphabet(["a", "b", "c"])
+runs3 = st.lists(st.tuples(st.sampled_from(Z3.letters), st.integers(1, 3)), min_size=2, max_size=4)
+images3 = st.one_of(
+    st.just([]),
+    st.tuples(st.sampled_from(Z3.letters), st.integers(1, 3)).map(lambda run: [run]),
+    # multi-run images that start and end with the same letter, whose powers merge
+    runs3.map(lambda rs: rs + [(rs[0][0], 1)]),
+    runs3,
+).map(lambda rs: lang.word_from_runs(Z3, rs))
+
+
+@given(
+    st.lists(images3, min_size=3, max_size=3),
+    st.lists(st.tuples(st.sampled_from(Z3.letters), st.integers(1, 4)), max_size=6),
+    st.one_of(st.none(), st.integers(1, 40)),
+)
+@settings(max_examples=400, deadline=None)
+def test_apply_matches_reference(images, runs, cap):
+    m = morph.Morphism(Z3, Z3, tuple(images))
+    w = lang.word_from_runs(Z3, runs)
+    try:
+        want = reference_apply(m, w, cap)
+    except ExpansionCapExceeded as exc:
+        with pytest.raises(ExpansionCapExceeded) as err:
+            morph.apply(m, w, cap)
+        assert (err.value.needed, err.value.cap, str(err.value)) == (exc.needed, exc.cap, str(exc))
+        return
+    got = morph.apply(m, w, cap)
+    assert got == want
+    assert lang.Word(got.alphabet, got.runs) == got
 
 
 # ---------------------------------------------------------------- compose
@@ -109,42 +209,6 @@ def test_compose_cap_names_letter():
     with pytest.raises(ExpansionCapExceeded) as err:
         morph.compose_all([wide] * 40, cap=10**4)
     assert "letter" in str(err.value)
-
-
-# ---------------------------------------------------------------- direct sum
-
-def test_direct_sum_acts_independently():
-    X = lang.flat_alphabet(["x"])
-    Y = lang.flat_alphabet(["y1", "y2"])
-    f = mk(X, {"x": "x x"})
-    g = mk(Y, {"y1": "y2", "y2": ""})
-    s = morph.direct_sum(f, g)
-    assert s.domain.letters == ("x", "y1", "y2")
-    assert s.domain.levels == (("x",), ("y1", "y2"))
-    assert lang.text(s.image("x")) == "x^2"
-    assert lang.text(s.image("y1")) == "y2"
-    assert s.image("y2").is_empty
-
-
-def test_direct_sum_of_identities():
-    X = lang.flat_alphabet(["x"])
-    Y = lang.flat_alphabet(["y"])
-    s = morph.direct_sum(morph.identity_morphism(X), morph.identity_morphism(Y))
-    assert s == morph.identity_morphism(s.domain)
-
-
-def test_direct_sum_requires_disjoint():
-    with pytest.raises(AlphabetMismatch):
-        morph.direct_sum(morph.identity_morphism(Z), morph.identity_morphism(Z))
-
-
-def test_direct_sum_matrix_is_block_diagonal():
-    X = lang.flat_alphabet(["x1", "x2"])
-    Y = lang.flat_alphabet(["y"])
-    f = mk(X, {"x1": "x1 x2", "x2": "x2"})
-    g = mk(Y, {"y": "y y y"})
-    m = morph.matrix_of(morph.direct_sum(f, g))
-    assert m == matsem.from_dense([[1, 1, 0], [0, 1, 0], [0, 0, 3]])
 
 
 # ---------------------------------------------------------------- matrices
@@ -224,17 +288,14 @@ def test_apply_is_homomorphic(g, a, b):
 def test_triangular_closed_under_compose_and_sum(f, g):
     assert morph.is_upper_triangular(f)
     assert morph.is_upper_triangular(morph.compose(f, g))
-    renamed_alphabet = lang.flat_alphabet([f"w{i}" for i in range(4)])
-    renamed = morph.endomorphism(
-        renamed_alphabet,
-        {
-            f"w{i}": lang.translate(
-                g.images[i], dict(zip(Z4.letters, renamed_alphabet.letters)), renamed_alphabet
-            )
-            for i in range(4)
-        },
-    )
-    assert morph.is_upper_triangular(morph.direct_sum(f, renamed))
+    # the block-diagonal endomorphism acting as f on Z4 and as g on a renamed copy
+    same = {z: z for z in Z4.letters}
+    renamed = {z: f"w{i}" for i, z in enumerate(Z4.letters)}
+    combined = lang.leveled_alphabet([Z4.letters, tuple(renamed.values())])
+    table = {z: lang.translate(img, same, combined) for z, img in zip(Z4.letters, f.images)}
+    table.update({renamed[z]: lang.translate(img, renamed, combined)
+                  for z, img in zip(Z4.letters, g.images)})
+    assert morph.is_upper_triangular(morph.endomorphism(combined, table))
 
 
 @given(triangular_endos())

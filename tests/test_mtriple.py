@@ -1,8 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,7 +218,7 @@ def test_compile_rejects_zero():
         mtriple.compile_polynomial(poly.zero(2))
 
 
-def test_parts_sum_check_survives_optimize_flag():
+def test_parts_sum_check_survives_optimize_flag(run_python):
     # the parts summing to p is a guarantee, so `python -O` must keep the check
     code = (
         "from diomorph import mtriple, poly\n"
@@ -234,10 +230,7 @@ def test_parts_sum_check_survives_optimize_flag():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(mtriple.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+    assert run_python("-O", "-c", code).returncode == 0
 
 
 # ---------------------------------------------------------------- one-pass layout

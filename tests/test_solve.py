@@ -1,10 +1,6 @@
 """Tests for the bounded solvers and the arithmetic oracle."""
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -239,7 +235,7 @@ def test_word_confirmation_cap_boundary(trivial_encoder):
     assert first[0] is second[0] and first[1] is second[1]
 
 
-def test_refold_check_survives_optimize_flag():
+def test_refold_check_survives_optimize_flag(run_python):
     # the witness re-verification is a guarantee, so `python -O` must keep it
     code = (
         "from diomorph import matsem, solve\n"
@@ -251,10 +247,7 @@ def test_refold_check_survives_optimize_flag():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(solve.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+    assert run_python("-O", "-c", code).returncode == 0
 
 
 # ---------------------------------------------------------------------------
