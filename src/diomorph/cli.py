@@ -28,7 +28,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import encode, interchange, matsem, poly, solve
+from . import encode, interchange, poly, solve
 from .errors import AlphabetBudgetExceeded, ExpansionCapExceeded
 
 EXIT_OK = 0
@@ -197,21 +197,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cap = _effective_cap(args.cap)
     levels = ("matrix", "morphism") if args.level == "both" else (args.level,)
     results: list[solve.SolveResult] = []
-    for level in levels:
-        if level == "matrix":
-            m1, m2 = encode.matrices(enc)
-            a = matsem.p_side_matrix(m1, m2, args.n, args.s)
-            b = matsem.q_side_matrix(m1, m2, args.n, args.s)
-            if args.two:
-                result = solve.solve_two_unknowns(a, b, m1, m2, args.max_len)
+    with solve._sides_of_point(enc, args.n, args.s) as (a, b, m1, m2):
+        for level in levels:
+            if level == "matrix":
+                matrix_solver = solve.solve_two_unknowns if args.two else solve.solve_one_unknown
+                results.append(matrix_solver(a, b, m1, m2, args.max_len))
             else:
-                result = solve.solve_one_unknown(a, b, m1, m2, args.max_len)
-        else:
-            if args.two:
-                result = solve.solve_two_unknowns_words(enc, args.n, args.s, args.max_len, cap=cap)
-            else:
-                result = solve.solve_one_unknown_words(enc, args.n, args.s, args.max_len, cap=cap)
-        results.append(result)
+                word_solver = solve.solve_two_unknowns_words if args.two else solve.solve_one_unknown_words
+                results.append(word_solver(enc, args.n, args.s, args.max_len, cap=cap))
     if args.format == "machine" and len(results) == 2:
         text = interchange.dumps(
             {level: _result_doc(r) for level, r in zip(levels, results)}

@@ -126,6 +126,11 @@ class Encoder:
         return mtriple.MTriple(self.alphabet, self.g1, self.g2, self.dimension)
 
 
+def tupled(p: poly.Polynomial, tupling: poly.Polynomial) -> poly.Polynomial:
+    """tupling(x1, ..., xt, p(x1, ..., xt)): the argument slots beside the value."""
+    return poly.compose(tupling, [poly.variable(i, p.arity) for i in range(1, p.arity + 1)] + [p])
+
+
 def build_encoder(
     p: poly.Polynomial,
     q: poly.Polynomial,
@@ -152,9 +157,7 @@ def build_encoder(
             f"tupling polynomial must take {t + 1} arguments, takes {tupling.arity}"
         )
 
-    slots = [poly.variable(i, t) for i in range(1, t + 1)]
-    p_tupled = poly.compose(tupling, slots + [p])
-    q_tupled = poly.compose(tupling, slots + [q])
+    p_tupled, q_tupled = tupled(p, tupling), tupled(q, tupling)
 
     first = mtriple.monomial_parts(p_tupled, budget=limit)
     second = mtriple.monomial_parts(q_tupled, budget=limit)

@@ -48,3 +48,11 @@ class AlphabetBudgetExceeded(RuntimeError):
         if context:
             msg += f" ({context})"
         super().__init__(msg)
+
+
+class InvalidMatrix(ValueError):
+    """A matrix has a bad dimension, position or entry, or unsorted entries."""
+
+
+class InvalidEncoder(ValueError):
+    """The parts of an encoder document disagree with each other."""

@@ -13,7 +13,8 @@ import json
 from typing import Any
 
 from . import poly
-from .encode import Encoder
+from .encode import CONTROL_LETTERS, FINAL_LETTER, Encoder, tupled
+from .errors import InvalidEncoder
 from .lang import LeveledAlphabet, Word, parse_word, text
 from .matsem import SparseMatrix
 from .morph import Morphism, endomorphism
@@ -98,7 +99,7 @@ def encoder_from_doc(doc: dict) -> Encoder:
     if doc.get("format") != "diomorph-encoder":
         raise ValueError("not an encoder document (missing format marker)")
     alphabet = alphabet_from_doc(doc["alphabet"])
-    return Encoder(
+    enc = Encoder(
         alphabet=alphabet,
         g1=morphism_from_doc(doc["g1"], alphabet),
         g2=morphism_from_doc(doc["g2"], alphabet),
@@ -110,6 +111,17 @@ def encoder_from_doc(doc: dict) -> Encoder:
         p_tupled=polynomial_from_doc(doc["p_tupled"]),
         q_tupled=polynomial_from_doc(doc["q_tupled"]),
     )
+    t, abc = enc.dimension, enc.alphabet
+    if not t == enc.p.arity == enc.q.arity:
+        raise InvalidEncoder(f"dimension {t} differs from the arities of p and q ({enc.p.arity}, {enc.q.arity})")
+    if abc.level_count != t + 1:
+        raise InvalidEncoder(f"dimension {t} needs {t + 1} alphabet levels, found {abc.level_count}")
+    if not all(z in abc for z in CONTROL_LETTERS + (FINAL_LETTER,)):
+        raise InvalidEncoder("alphabet lacks one of the letters c0, c1, c2, c3, e")
+    tupling = poly.injective_tupling(t + 1)
+    if (tupled(enc.p, tupling), tupled(enc.q, tupling)) != (enc.p_tupled, enc.q_tupled):
+        raise InvalidEncoder("p_tupled and q_tupled must be the tuplings of p and q")
+    return enc
 
 
 # ----------------------------------------------------------------- matrices

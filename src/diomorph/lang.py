@@ -149,8 +149,9 @@ def _normalize_runs(pairs: Iterable[tuple[Letter, int]]) -> tuple[tuple[Letter, 
 
 def _normal_word(alphabet: LeveledAlphabet, runs: tuple[tuple[Letter, int], ...]) -> Word:
     """Word from runs already in normal form over ``alphabet``; nothing is re-checked."""
-    w = object.__new__(Word)
-    w.__dict__.update(alphabet=alphabet, runs=runs)
+    w = object.__new__(Word)  # set as the dataclass does, keeping the instance as small as Word()'s
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "runs", runs)
     return w
 
 
@@ -236,7 +237,11 @@ def expand(w: Word, cap: int | None = None) -> tuple[Letter, ...]:
 
 def translate(w: Word, mapping: Mapping[Letter, Letter], target: LeveledAlphabet) -> Word:
     """Rename letters run-by-run (used when embedding into a larger alphabet)."""
-    return word_from_runs(target, ((mapping[z], count) for z, count in w.runs))
+    runs = _normalize_runs((mapping[z], count) for z, count in w.runs)
+    for letter, _ in runs:
+        if letter not in target._positions:
+            raise AlphabetMismatch(f"letter {letter!r} not in alphabet")
+    return _normal_word(target, runs)
 
 
 def text(w: Word) -> str:
@@ -246,15 +251,17 @@ def text(w: Word) -> str:
 
 def parse_word(alphabet: LeveledAlphabet, s: str) -> Word:
     """Inverse of :func:`text` (also accepts non-normal run lists)."""
-    pairs: list[tuple[Letter, int]] = []
+    position = alphabet._positions
+    runs: list[tuple[Letter, int]] = []
     for token in s.split():
         letter, sep, count_text = token.partition("^")
-        if letter not in alphabet:
+        if letter not in position:
             raise AlphabetMismatch(f"unknown letter {letter!r} in word text")
-        if sep:
-            if not count_text.isdigit() or int(count_text) < 1:
-                raise ValueError(f"bad run count in token {token!r}")
-            pairs.append((letter, int(count_text)))
+        count = (int(count_text) if count_text.isdigit() else 0) if sep else 1
+        if count < 1:
+            raise ValueError(f"bad run count in token {token!r}")
+        if runs and runs[-1][0] == letter:  # never so in text that `text` wrote
+            runs[-1] = (letter, runs[-1][1] + count)
         else:
-            pairs.append((letter, 1))
-    return _normal_word(alphabet, _normalize_runs(pairs))
+            runs.append((letter, count))
+    return _normal_word(alphabet, tuple(runs))

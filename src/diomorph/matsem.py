@@ -3,9 +3,10 @@
 Matrices here are the letter-counting images of word morphisms: entry (i, j)
 says how many times letter j occurs in the image of letter i.  Dimensions
 reach a few thousand while rows stay short, and entries grow without bound
-under products, so the representation is a canonical sorted triplet tuple
-(row, col, value) with arbitrary-precision values and no stored zeros.
-Structural equality is matrix equality.
+under products, so a matrix is stored as canonical rows (row -> col -> value,
+no zeros, no empty rows): dict equality is matrix equality.  ``entries`` (the
+sorted triplets) and ``cols`` (the columns) are cached views.  Matrices are
+validated where they come from outside; products build their rows directly.
 
 Besides the generic algebra (product, power, Kronecker product, transpose)
 this module builds the equation-side matrices used by the bounded solvers:
@@ -15,34 +16,52 @@ word-level equation sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidMatrix
 
 Vector = dict[int, int]  # sparse, index -> nonzero value
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    dimension: int
-    entries: tuple[tuple[int, int, int], ...]
+def _checked_rows(dimension: int, items: Iterable[tuple[int, int, int]], canonical: bool) -> dict[int, Vector]:
+    """Rows of triplets: positive, sorted and unique if canonical, else zeros dropped, repeats summed."""
+    if dimension < 1:
+        raise InvalidMatrix(f"dimension must be positive, got {dimension}")
+    rows: dict[int, Vector] = {}
+    prev = (-1, -1)
+    for r, c, v in items:
+        if not (0 <= r < dimension and 0 <= c < dimension):
+            raise InvalidMatrix(f"position ({r}, {c}) outside a {dimension}x{dimension} matrix")
+        if v < 0 or (canonical and not v):
+            raise InvalidMatrix(f"entry {v} at ({r}, {c}) is not positive")
+        if canonical and (r, c) <= prev:
+            raise InvalidMatrix(f"entries must be sorted with unique positions: ({r}, {c}) after {prev}")
+        prev = (r, c)
+        if v:
+            row = rows.setdefault(r, {})
+            row[c] = row.get(c, 0) + v
+    return rows
 
-    def __post_init__(self):
-        assert self.dimension >= 1
-        prev = None
-        for row, col, value in self.entries:
-            assert 0 <= row < self.dimension and 0 <= col < self.dimension
-            assert value > 0, "entries are positive (zeros are never stored)"
-            assert prev is None or (row, col) > prev, "entries must be sorted with unique positions"
-            prev = (row, col)
+
+class SparseMatrix:
+    """A square matrix in canonical rows, built from canonical triplets:
+    positive values, sorted, at unique positions.  Treat it as immutable."""
+
+    def __init__(self, dimension: int, entries: Iterable[tuple[int, int, int]]):
+        self.dimension = dimension
+        self.rows: dict[int, Vector] = _checked_rows(dimension, entries, canonical=True)
 
     @cached_property
-    def rows(self) -> dict[int, Vector]:
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(sorted((r, c, v) for r, row in self.rows.items() for c, v in row.items()))
+
+    @cached_property
+    def cols(self) -> dict[int, Vector]:
         table: dict[int, Vector] = {}
-        for row, col, value in self.entries:
-            table.setdefault(row, {})[col] = value
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                table.setdefault(c, {})[r] = v
         return table
 
     def entry(self, row: int, col: int) -> int:
@@ -52,33 +71,37 @@ class SparseMatrix:
         return dict(self.rows.get(row, {}))
 
     def col_of(self, col: int) -> Vector:
-        return {r: v for r, c, v in self.entries if c == col}
+        return dict(self.cols.get(col, {}))
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.rows
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SparseMatrix) and (self.dimension, self.rows) == (other.dimension, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.dimension, self.entries))
 
     def __str__(self) -> str:
         if self.dimension > 12:
-            return f"<{self.dimension}x{self.dimension} sparse, {len(self.entries)} entries>"
+            return f"<{self.dimension}x{self.dimension} sparse, {sum(map(len, self.rows.values()))} entries>"
         grid = [[str(self.entry(i, j)) for j in range(self.dimension)] for i in range(self.dimension)]
         width = max(len(s) for row in grid for s in row)
         return "\n".join(" ".join(s.rjust(width) for s in row) for row in grid)
 
 
+def _from_rows(dimension: int, rows: dict[int, Vector]) -> SparseMatrix:
+    """Matrix from rows that are already canonical; nothing is re-checked."""
+    m = object.__new__(SparseMatrix)
+    m.dimension, m.rows = dimension, rows
+    return m
+
+
 def matrix(dimension: int, data: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]]) -> SparseMatrix:
-    """Build a matrix from (row, col) -> value data, dropping zeros."""
-    if isinstance(data, Mapping):
-        items = [(r, c, v) for (r, c), v in data.items()]
-    else:
-        items = [(r, c, v) for r, c, v in data]
-    acc: dict[tuple[int, int], int] = {}
-    for r, c, v in items:
-        if v < 0:
-            raise ValueError(f"negative entry {v} at ({r}, {c})")
-        if v:
-            acc[(r, c)] = acc.get((r, c), 0) + v
-    return SparseMatrix(dimension, tuple(sorted((r, c, v) for (r, c), v in acc.items() if v)))
+    """Build a matrix from (row, col) -> value data or triplets, dropping zeros."""
+    items = ((r, c, v) for (r, c), v in data.items()) if isinstance(data, Mapping) else data
+    return _from_rows(dimension, _checked_rows(dimension, items, canonical=False))
 
 
 def from_dense(rows: Sequence[Sequence[int]]) -> SparseMatrix:
@@ -87,7 +110,7 @@ def from_dense(rows: Sequence[Sequence[int]]) -> SparseMatrix:
 
 
 def identity(dimension: int) -> SparseMatrix:
-    return matrix(dimension, {(i, i): 1 for i in range(dimension)})
+    return matrix(dimension, ((i, i, 1) for i in range(dimension)))
 
 
 def zeros(dimension: int) -> SparseMatrix:
@@ -102,23 +125,24 @@ def _require_same_dimension(a: SparseMatrix, b: SparseMatrix) -> None:
 def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     _require_same_dimension(a, b)
     b_rows = b.rows
-    acc: dict[tuple[int, int], int] = {}
+    rows: dict[int, Vector] = {}
     for i, arow in a.rows.items():
         out: Vector = {}
         for mid, av in arow.items():
-            for j, bv in b_rows.get(mid, {}).items():
-                out[j] = out.get(j, 0) + av * bv
-        for j, v in out.items():
-            if v:
-                acc[(i, j)] = v
-    return SparseMatrix(a.dimension, tuple(sorted((r, c, v) for (r, c), v in acc.items())))
+            brow = b_rows.get(mid)
+            if brow:
+                for j, bv in brow.items():
+                    out[j] = out.get(j, 0) + av * bv
+        if out:  # entries are positive, so sums of products are never zero
+            rows[i] = out
+    return _from_rows(a.dimension, rows)
 
 
 def mat_pow(a: SparseMatrix, n: int) -> SparseMatrix:
     """a^n by binary exponentiation; a^0 is the identity."""
     if n < 0:
         raise ValueError("negative matrix power")
-    result = identity(a.dimension)
+    result = _from_rows(a.dimension, {i: {i: 1} for i in range(a.dimension)})  # a checked the dimension
     base = a
     while n:
         if n & 1:
@@ -131,16 +155,13 @@ def mat_pow(a: SparseMatrix, n: int) -> SparseMatrix:
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Kronecker product; dimension multiplies."""
     k = b.dimension
-    items = [
-        (ra * k + rb, ca * k + cb, va * vb)
-        for ra, ca, va in a.entries
-        for rb, cb, vb in b.entries
-    ]
-    return matrix(a.dimension * k, items)
+    return _from_rows(a.dimension * k, {
+        ra * k + rb: {ca * k + cb: va * vb for ca, va in arow.items() for cb, vb in brow.items()}
+        for ra, arow in a.rows.items() for rb, brow in b.rows.items()})
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix(a.dimension, tuple(sorted((c, r, v) for r, c, v in a.entries)))
+    return _from_rows(a.dimension, {c: dict(col) for c, col in a.cols.items()})
 
 
 def vec_mat(vec: Mapping[int, int], a: SparseMatrix) -> Vector:
@@ -155,16 +176,16 @@ def vec_mat(vec: Mapping[int, int], a: SparseMatrix) -> Vector:
 
 def mat_vec(a: SparseMatrix, vec: Mapping[int, int]) -> Vector:
     """Matrix times column vector (transposed transport, used on columns)."""
+    cols = a.cols
     out: Vector = {}
-    for r, c, v in a.entries:
-        x = vec.get(c)
-        if x:
-            out[r] = out.get(r, 0) + v * x
+    for j, x in vec.items():
+        for i, v in cols.get(j, {}).items():
+            out[i] = out.get(i, 0) + v * x
     return {i: v for i, v in out.items() if v}
 
 
 def is_upper_triangular(a: SparseMatrix) -> bool:
-    return all(col >= row for row, col, _ in a.entries)
+    return all(col >= row for row, cols in a.rows.items() for col in cols)
 
 
 # ------------------------------------------------------------------ equation sides

@@ -155,13 +155,15 @@ def matrix_of(g: Morphism) -> matsem.SparseMatrix:
     """The letter-count matrix: row i counts the letters in the image of letter i."""
     if not g.is_endomorphism:
         raise AlphabetMismatch("the letter-count matrix needs an endomorphism")
-    k = len(g.domain)
-    items = [
-        (i, j, n)
-        for i, img in enumerate(g.images)
-        for j, n in parikh_vector(img).items()
-    ]
-    return matsem.matrix(k, items)
+    position = g.domain._positions  # every image letter is in the codomain, the domain
+    rows: dict[int, matsem.Vector] = {}
+    for i, img in enumerate(g.images):
+        if img.runs:
+            row = rows[i] = {}
+            for letter, count in img.runs:
+                j = position[letter]
+                row[j] = row.get(j, 0) + count
+    return matsem._from_rows(len(g.domain), rows)
 
 
 def is_upper_triangular(g: Morphism) -> bool:

@@ -172,12 +172,13 @@ def _check_refold(
     :func:`matsem.vec_mat` (a different kernel from the search's
     :func:`matsem.mat_mul`), so the check stays as thin as the start matrix.
     """
-    entries: list[tuple[int, int, int]] = []
+    rows: dict[int, matsem.Vector] = {}
     for i, row in start.rows.items():
         for symbol in x:
             row = matsem.vec_mat(row, step1 if symbol == 1 else step2)
-        entries.extend((i, j, v) for j, v in row.items())
-    if matsem.matrix(start.dimension, entries) != product:
+        if row:
+            rows[i] = row
+    if rows != product.rows:
         raise AssertionError("incremental state diverged")
 
 
@@ -190,17 +191,31 @@ def _live_nodes(
     """Yield, level by level, the shortlex nodes (x, start·X(x)) with a
     nonzero product.  Zero products are pruned together with their subtrees:
     extensions of the zero matrix stay zero."""
-    level = [((), start)] if start.entries else []
+    level = [((), start)] if start.rows else []
     yield level
     for _ in range(max_len):
         nxt: list[tuple[tuple[int, ...], matsem.SparseMatrix]] = []
         for x, acc in level:
             for symbol, step in ((1, step1), (2, step2)):
                 child = matsem.mat_mul(acc, step)
-                if child.entries:
+                if child.rows:
                     nxt.append((x + (symbol,), child))
         level = nxt
         yield level
+
+
+def _pair_candidates(
+    a: matsem.SparseMatrix,
+    b: matsem.SparseMatrix,
+    step1: matsem.SparseMatrix,
+    step2: matsem.SparseMatrix,
+    max_len: int,
+) -> list[tuple[tuple[int, ...], tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix]]:
+    """Every (x, y, a·X(x), b·X(y)) with both products nonzero, by (|x|+|y|, x, y)."""
+    lefts = [node for level in _live_nodes(a, step1, step2, max_len) for node in level]
+    rights = [node for level in _live_nodes(b, step1, step2, max_len) for node in level]
+    return sorted(((x, y, left, right) for x, left in lefts for y, right in rights),
+                  key=lambda item: (len(item[0]) + len(item[1]), item[0], item[1]))
 
 
 def _paired_live_nodes(
@@ -212,14 +227,14 @@ def _paired_live_nodes(
 ) -> Iterator[list[tuple[tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix]]]:
     """Like :func:`_live_nodes` but carries both sides along the same word;
     pruning is driven by the left side only (nonannihilation concerns a·x)."""
-    level = [((), a, b)] if a.entries else []
+    level = [((), a, b)] if a.rows else []
     yield level
     for _ in range(max_len):
         nxt: list[tuple[tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix]] = []
         for x, left, right in level:
             for symbol, step in ((1, step1), (2, step2)):
                 child_left = matsem.mat_mul(left, step)
-                if child_left.entries:
+                if child_left.rows:
                     nxt.append((x + (symbol,), child_left, matsem.mat_mul(right, step)))
         level = nxt
         yield level
@@ -277,15 +292,7 @@ def solve_two_unknowns(
     """
     if max_len < 0:
         raise ValueError("maximum length must be nonnegative")
-    lefts = [node for level in _live_nodes(a, step1, step2, max_len) for node in level]
-    rights = [node for level in _live_nodes(b, step1, step2, max_len) for node in level]
-    candidates = sorted(
-        ((len(x) + len(y), x, y, left, right)
-         for x, left in lefts
-         for y, right in rights),
-        key=lambda item: (item[0], item[1], item[2]),
-    )
-    for _total, x, y, left, right in candidates:
+    for x, y, left, right in _pair_candidates(a, b, step1, step2, max_len):
         if left == right:
             _check_refold(a, step1, step2, x, left)
             _check_refold(b, step1, step2, y, right)
@@ -344,11 +351,6 @@ def _sides_of_point(enc: Encoder, n: int, s: int) -> Iterator[Sides]:
         _point_sides.reset(token)
 
 
-def _control_rows_only(enc: Encoder, m: matsem.SparseMatrix) -> bool:
-    control = set(enc.control_indices)
-    return all(r in control for r, _, _ in m.entries)
-
-
 def _halves_containment(
     enc: Encoder, left: matsem.SparseMatrix, right: matsem.SparseMatrix
 ) -> bool:
@@ -366,12 +368,12 @@ def _halves_containment(
     e = enc.final_index
     first = set(enc.first_indices) | {e}
     second = set(enc.second_indices) | {e}
-    if not (_control_rows_only(enc, left) and _control_rows_only(enc, right)):
+    control = set(enc.control_indices)
+    if not (control.issuperset(left.rows) and control.issuperset(right.rows)):
         return False
     for matrix_, allowed_c0 in ((left, first), (right, second)):
-        for r, c, _ in matrix_.entries:
-            allowed = allowed_c0 if r == c0 else second
-            if c not in allowed:
+        for r, row in matrix_.rows.items():
+            if not (allowed_c0 if r == c0 else second).issuperset(row):
                 return False
     return True
 
@@ -483,16 +485,8 @@ def solve_two_unknowns_words(
     if max_len < 0:
         raise ValueError("maximum length must be nonnegative")
     a, b, m1, m2 = _equation_sides(enc, n, s)
-    lefts = [node for level in _live_nodes(a, m1, m2, max_len) for node in level]
-    rights = [node for level in _live_nodes(b, m1, m2, max_len) for node in level]
-    candidates = sorted(
-        ((len(x) + len(y), x, y, left, right)
-         for x, left in lefts
-         for y, right in rights),
-        key=lambda item: (item[0], item[1], item[2]),
-    )
     undecided = 0
-    for _total, x, y, left, right in candidates:
+    for x, y, left, right in _pair_candidates(a, b, m1, m2, max_len):
         if left != right:
             continue
         if _halves_containment(enc, left, right):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from diomorph import cli, encode, interchange, poly
+from diomorph import cli, encode, interchange, matsem, poly
 from diomorph.cli import main
 
 
@@ -203,6 +203,60 @@ def test_solve_two_unknowns_flag(toy_encoder_file, capsys):
     assert main(args) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["pair"] == [[], []]
+
+
+def test_solve_both_levels_builds_the_sides_once(toy_encoder_file, monkeypatch, capsys):
+    built = []
+    for name in ("p_side_matrix", "q_side_matrix"):
+        real = getattr(matsem, name)
+        monkeypatch.setattr(matsem, name, lambda *args, real=real, name=name:
+                            built.append((name, args[2:])) or real(*args))
+    for two in ([], ["--two"]):
+        built.clear()
+        args = ["solve", "--encoder", toy_encoder_file, "-n", "2", "-s", "2",
+                "--max-len", "2", "--level", "both", *two]
+        assert main(args) == cli.EXIT_OK
+        assert built == [("p_side_matrix", (2, 2)), ("q_side_matrix", (2, 2))]
+
+
+def _rename_c0(doc):
+    # c0 is never produced, so it is named only in the alphabet and as a domain letter
+    letters = doc["alphabet"]["letters"]
+    letters[letters.index("c0")] = "c9"
+    for g in ("g1", "g2"):
+        doc[g]["images"]["c9"] = doc[g]["images"].pop("c0")
+
+
+def _merge_last_levels(doc):
+    sizes = doc["alphabet"]["level_sizes"]
+    sizes[-2:] = [sizes[-2] + sizes[-1]]
+
+
+# each case makes a part of the toy encoder's document disagree with the rest
+INCONSISTENT_ENCODERS = {
+    "dimension 7 differs from the arities of p and q (2, 2)": lambda doc: doc.update(dimension=7),
+    "dimension 2 needs 3 alphabet levels, found 2": _merge_last_levels,
+    "alphabet lacks one of the letters c0, c1, c2, c3, e": _rename_c0,
+    "p_tupled and q_tupled must be the tuplings of p and q": lambda doc: doc.update(
+        p=interchange.polynomial_to_doc(poly.scale(poly.variable(1, 2), 3))),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+@pytest.mark.parametrize("message", sorted(INCONSISTENT_ENCODERS))
+def test_solve_rejects_inconsistent_encoder_documents(message, flags, tmp_path, toy_encoder, run_python):
+    doc = interchange.encoder_to_doc(toy_encoder)
+    INCONSISTENT_ENCODERS[message](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(interchange.dumps(doc))
+    run = run_python(
+        *flags, "-m", "diomorph.cli", "solve", "--encoder", str(path),
+        "-n", "1", "-s", "1", "--max-len", "1",
+        capture_output=True, text=True,
+    )
+    assert run.returncode == cli.EXIT_BAD_INPUT
+    assert run.stdout == ""
+    assert run.stderr == f"error: {message}\n"
 
 
 # each case corrupts the toy encoder's alphabet (letters, level sizes)

@@ -147,6 +147,17 @@ def test_translate():
     assert out.runs == (("A:z1", 3), ("A:z2", 1))
 
 
+def test_translate_checks_the_target_and_merges_runs():
+    target = lang.flat_alphabet(["a", "b"])
+    w = lang.parse_word(Z, "z1^2 z2 z1 e^3")
+    with pytest.raises(AlphabetMismatch, match="letter 'y' not in alphabet"):
+        lang.translate(w, {"z1": "a", "z2": "a", "e": "y"}, target)
+    # a renaming that is not injective merges the runs it makes adjacent
+    out = lang.translate(w, {"z1": "a", "z2": "a", "e": "b"}, target)
+    assert out.runs == (("a", 4), ("b", 3))
+    assert out == lang.word_from_runs(target, [("a", 2), ("a", 1), ("a", 1), ("b", 3)])
+
+
 # ---------------------------------------------------------------- properties
 
 letters = st.sampled_from(["z1", "z2", "z3", "e"])
