@@ -32,8 +32,22 @@ class Morphism:
     def __post_init__(self):
         if len(self.images) != len(self.domain.letters):
             raise AlphabetMismatch("one image per domain letter")
-        if any(img.alphabet != self.codomain for img in self.images):
+        codomain = self.codomain
+        if any(img.alphabet is not codomain and img.alphabet != codomain for img in self.images):
             raise AlphabetMismatch("images must live over the codomain")
+
+    def __eq__(self, other):
+        """Equal alphabets, then equal image runs.
+
+        Exact because every image lives over the codomain (checked on
+        construction): over equal codomains, two images are equal words
+        exactly when their runs are.  Comparing whole images would compare
+        the codomain once per image.
+        """
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain == other.domain and self.codomain == other.codomain
+                and all(a.runs == b.runs for a, b in zip(self.images, other.images)))
 
     @property
     def is_endomorphism(self) -> bool:

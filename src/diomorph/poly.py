@@ -107,12 +107,18 @@ def add(a: Polynomial, b: Polynomial) -> Polynomial:
 def mul(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.arity != b.arity:
         raise ArityMismatch(f"cannot multiply arity {a.arity} and {b.arity}")
+    return polynomial(a.arity, _product(a.terms, b.terms))
+
+
+def _product(a: Iterable[tuple[Exponents, int]],
+             b: Sequence[tuple[Exponents, int]]) -> dict[Exponents, int]:
+    """Exponent -> coefficient table of the product of two term lists, unnormalized."""
     acc: dict[Exponents, int] = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
+    for ea, ca in a:
+        for eb, cb in b:
             key = tuple(x + y for x, y in zip(ea, eb))
             acc[key] = acc.get(key, 0) + ca * cb
-    return polynomial(a.arity, acc)
+    return acc
 
 
 def scale(a: Polynomial, c: int) -> Polynomial:
@@ -158,14 +164,16 @@ def compose(outer: Polynomial, args: Sequence[Polynomial]) -> Polynomial:
             cache[e] = mul(arg_power(i, e - 1), args[i])
         return cache[e]
 
-    result = zero(inner_arity)
+    # expand every term into one exponent -> coefficient table, normalize once
+    acc: dict[Exponents, int] = {}
     for exps, coeff in outer.terms:
-        term = constant(coeff, inner_arity)
+        term = {(0,) * inner_arity: coeff}
         for i, e in enumerate(exps):
             if e:
-                term = mul(term, arg_power(i, e))
-        result = add(result, term)
-    return result
+                term = _product(term.items(), arg_power(i, e).terms)
+        for key, c in term.items():
+            acc[key] = acc.get(key, 0) + c
+    return polynomial(inner_arity, acc)
 
 
 def lift(p: Polynomial, arity: int) -> Polynomial:

@@ -123,6 +123,32 @@ def test_encoder_documents_match_golden_digests(fixture, request):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ENCODER_SHA256[fixture]
 
 
+# sha256 of each suite report's machine rendering, recorded before morphism
+# equality and the collapse suite's word-level pairs shared their work; the
+# reports must stay byte-identical (the suites' details name no letters, so
+# toy and squares give the same conditions and collapse documents)
+GOLDEN_SUITE_SHA256 = {
+    ("toy_encoder", "conditions"): "fa487b6836096bed4be580adf6ffa2c2fbd629128c00610cd9e3dcc05043477e",
+    ("toy_encoder", "collapse"): "28d3a954c43ae7e93a4e3950cb0570f8f7b71a224459458108de81e460836921",
+    ("toy_encoder", "staged"): "c2ead04ff8408e9d9cd6674688cefff36f9fc7b2e54a98419f6e7f2f019681c5",
+    ("toy_encoder", "functoriality"): "80b6906478c5f798138bddfc3524765905cd60f2288370b3f58a98e168338ba3",
+    ("squares_encoder", "conditions"): "fa487b6836096bed4be580adf6ffa2c2fbd629128c00610cd9e3dcc05043477e",
+    ("squares_encoder", "collapse"): "28d3a954c43ae7e93a4e3950cb0570f8f7b71a224459458108de81e460836921",
+}
+SUITES = {
+    "conditions": encode.condition_suite,
+    "collapse": lambda enc: encode.annihilation_suite(enc, max_len=3),
+    "staged": encode.staged_evaluation_suite,
+    "functoriality": encode.functoriality_suite,
+}
+
+
+@pytest.mark.parametrize("fixture,suite", sorted(GOLDEN_SUITE_SHA256))
+def test_suite_reports_match_golden_digests(fixture, suite, request):
+    text = SUITES[suite](request.getfixturevalue(fixture)).render("machine")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUITE_SHA256[fixture, suite]
+
+
 def test_witnesses_are_tagged_translations(toy_encoder):
     enc = toy_encoder
     first = mtriple.compile_polynomial(enc.p_tupled)
@@ -284,6 +310,19 @@ def test_condition_suite_detects_surviving_double_raise(toy_encoder):
     assert "double-raise-erases-noncontrol" in failed
 
 
+def test_condition_suite_detects_altered_g1_image(toy_encoder):
+    # B:2.48 -> B:2.48 becomes B:2.48 -> B:2.48^2: every structural check
+    # still holds, only the comparison with a fresh build sees the change
+    enc = toy_encoder
+    i = enc.alphabet.index_of("B:2.48")
+    assert enc.g1.images[i] == word(enc.alphabet, ["B:2.48"])
+    images = list(enc.g1.images)
+    images[i] = letter_power(enc.alphabet, "B:2.48", 2)
+    broken = dataclasses.replace(enc, g1=dataclasses.replace(enc.g1, images=tuple(images)))
+    report = encode.condition_suite(broken)
+    assert [c.name for c in report.failures()] == ["tagged-blocks-match-recompilation"]
+
+
 # ---------------------------------------------------------------------------
 # Staged evaluation suite
 # ---------------------------------------------------------------------------
@@ -335,6 +374,23 @@ def test_annihilation_word_level_explicitly(toy_encoder):
     assert morph.is_zero_morphism(wiped)
     framed = morph.compose_all([enc.g1, enc.g1, enc.g2, enc.g2, enc.g1, enc.g2])
     assert morph.is_zero_morphism(framed)
+
+
+def test_annihilation_suite_composes_each_prefix_once(toy_encoder, monkeypatch):
+    # the nine word-level pairs need 11 distinct prefixes of g1·h1·g2²·h2
+    calls = []
+
+    def counting_compose(f, g, cap=None):
+        calls.append((f, g))
+        return morph.compose(f, g, cap)
+
+    monkeypatch.setattr(encode, "compose", counting_compose)
+    report = encode.annihilation_suite(toy_encoder, max_len=3)
+    assert len(calls) == 11
+    labels = ("ε", "1", "2")
+    assert [c.name for c in report.checks if c.name.startswith("word-level pair ")] == [
+        f"word-level pair h1={a} h2={b}" for a in labels for b in labels
+    ]
 
 
 def test_annihilation_suite_detects_control_leak(toy_encoder):

@@ -39,6 +39,46 @@ def test_images_must_live_over_codomain():
         morph.endomorphism(Z, {"z1": lang.word(other, ["y"]), "z2": lang.word(Z, [])})
 
 
+# ---------------------------------------------------------------- equality
+
+A = [["z1"], ["z2", "z3"]]
+RUNS = ((("z1", 1), ("z2", 2)), (("z3", 1),), ())
+
+
+def over(levels, runs=RUNS, images_over=None):
+    """An endomorphism of a freshly built alphabet with the given image runs."""
+    abc = lang.leveled_alphabet(levels)
+    return morph.Morphism(abc, abc, tuple(lang.Word(images_over or abc, r) for r in runs))
+
+
+def test_morphisms_over_distinct_equal_alphabets_are_equal():
+    f, g = over(A), over(A)
+    assert f.domain is not g.domain and f.domain == g.domain
+    assert f == g and hash(f) == hash(g)
+    assert f != over(A, RUNS[:2] + ((("z1", 1),),))
+    assert f != over(A, ((("z1", 1), ("z2", 3)),) + RUNS[1:])
+
+
+def test_equal_runs_over_different_alphabets_are_unequal():
+    f = over(A)
+    for levels in ([["z1", "z2", "z3"]], [["z1"], ["z3", "z2"]], [["z1", "z2"], ["z3"]]):
+        g = over(levels)
+        assert [img.runs for img in g.images] == [img.runs for img in f.images]
+        assert f != g
+    # same domain, codomain with other levels
+    wide = lang.leveled_alphabet([["z1", "z2", "z3"]])
+    h = morph.Morphism(f.domain, wide, tuple(lang.Word(wide, r) for r in RUNS))
+    assert f != h and h != f
+
+
+def test_images_over_an_equal_alphabet_object_are_accepted():
+    assert over(A, images_over=lang.leveled_alphabet(A)) == over(A)
+    with pytest.raises(AlphabetMismatch, match="images must live over the codomain"):
+        over(A, images_over=lang.leveled_alphabet([["z1", "z2", "z3"]]))
+    with pytest.raises(AlphabetMismatch, match="images must live over the codomain"):
+        over(A, images_over=lang.leveled_alphabet([["z1"], ["z3", "z2"]]))
+
+
 # each bad construction, with the error type and message it must raise
 BAD_CONSTRUCTIONS = {
     "letter outside the alphabet": (

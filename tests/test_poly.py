@@ -238,3 +238,56 @@ def test_nonnegative_closure_and_positivity(a, b):
         assert all(coeff > 0 for _, coeff in q.terms)
         if not q.is_zero:
             assert poly.evaluate(q, (1, 1)) > 0
+
+
+# ---------------------------------------------------------------- compose against the reference
+
+def reference_compose(outer, args):
+    """Substitution normalizing after every product and sum, as compose once did."""
+    inner_arity = args[0].arity
+    powers = [{0: poly.constant(1, inner_arity)} for _ in args]
+
+    def arg_power(i, e):
+        if e not in powers[i]:
+            powers[i][e] = poly.mul(arg_power(i, e - 1), args[i])
+        return powers[i][e]
+
+    result = poly.zero(inner_arity)
+    for exps, coeff in outer.terms:
+        term = poly.constant(coeff, inner_arity)
+        for i, e in enumerate(exps):
+            if e:
+                term = poly.mul(term, arg_power(i, e))
+        result = poly.add(result, term)
+    return result
+
+
+@st.composite
+def polys(draw, arity):
+    items = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * arity), st.integers(1, 9)), max_size=5))
+    return poly.polynomial(arity, items)
+
+
+@st.composite
+def compositions(draw):
+    outer = draw(st.integers(1, 3).flatmap(polys))
+    inner_arity = draw(st.integers(1, 3))
+    return outer, [draw(polys(inner_arity)) for _ in range(outer.arity)]
+
+
+@given(compositions())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_compose_matches_reference(case):
+    outer, args = case
+    assert poly.compose(outer, args) == reference_compose(outer, args)
+
+
+def test_compose_matches_reference_on_the_squares_tupling():
+    # the tupling composition that every three-variable encoder load repeats
+    args = [poly.variable(i, 3) for i in (1, 2, 3)]
+    args.append(poly.mul(poly.variable(3, 3), poly.variable(3, 3)))
+    tupling = poly.injective_tupling(4)
+    expanded = poly.compose(tupling, args)
+    assert len(expanded.terms) == 82
+    assert expanded == reference_compose(tupling, args)
