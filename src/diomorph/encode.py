@@ -450,9 +450,6 @@ def staged_evaluation_suite(enc: Encoder, bound: int = 2, cap: int | None = None
             vec = matsem.vec_mat(vec, m1 if symbol == 1 else m2)
         return vec
 
-    def indexed(w: Word) -> dict[int, int]:
-        return parikh_vector(w)
-
     for alpha in range(1, t):
         for point in iter_product(range(1, bound + 1), repeat=alpha):
             gens = (2, 2) + argument_word(point)
@@ -462,7 +459,7 @@ def staged_evaluation_suite(enc: Encoder, bound: int = 2, cap: int | None = None
                 i in enc.first_indices and abc.level_of(abc.letters[i]) == alpha + 1
                 for i in support
             )
-            counts_ok = indexed(w) == chain_counts("c0", gens)
+            counts_ok = parikh_vector(w) == chain_counts("c0", gens)
             checks.append(
                 CheckResult(
                     name=f"stage-support alpha={alpha} point={_point_label(point)}",
@@ -483,7 +480,7 @@ def staged_evaluation_suite(enc: Encoder, bound: int = 2, cap: int | None = None
         # End-to-end double-raise side on c0 (the distinguished letter).
         w_p = apply_generator_word(enc, word(abc, ["c0"]), (2, 2) + arg, cap=cap)
         ok_p = w_p == letter_power(abc, FINAL_LETTER, expect_p)
-        ok_p = ok_p and indexed(w_p) == chain_counts("c0", (2, 2) + arg)
+        ok_p = ok_p and parikh_vector(w_p) == chain_counts("c0", (2, 2) + arg)
         checks.append(
             CheckResult(
                 name=f"final-value side=p point={_point_label(point)}",
@@ -498,7 +495,7 @@ def staged_evaluation_suite(enc: Encoder, bound: int = 2, cap: int | None = None
         # the triple-raise side.
         w_q = apply_generator_word(enc, word(abc, ["c0"]), (2, 2, 2) + arg, cap=cap)
         ok_q = w_q == letter_power(abc, FINAL_LETTER, expect_q)
-        ok_q = ok_q and indexed(w_q) == chain_counts("c0", (2, 2, 2) + arg)
+        ok_q = ok_q and parikh_vector(w_q) == chain_counts("c0", (2, 2, 2) + arg)
         shared = apply_generator_word(enc, word(abc, ["c1"]), (2, 2) + arg, cap=cap)
         ok_q = ok_q and shared == w_q
         checks.append(
@@ -686,10 +683,13 @@ def functoriality_suite(
     For every generator word up to ``max_len`` the suite composes the
     morphisms (suffix-memoized) and compares the letter-count matrix of the
     composite with the product of the generator matrices — an exact integer
-    identity.  Words whose composite exceeds the expansion cap cannot be
-    materialized; for those the suite verifies the rows of the matrix
-    product against stage-by-stage word trajectories of a fixed sample of
-    light letters and flags the check as partial.
+    identity.  A composite shares the images of its suffix's composite
+    wherever the leading generator maps a letter to one letter (``compose``
+    reuses them), and a word keeps its letter counts, so a shared image is
+    counted once, not once per composite.  Words whose composite exceeds
+    the expansion cap cannot be materialized; for those the suite verifies
+    the rows of the matrix product against stage-by-stage word trajectories
+    of a fixed sample of light letters and flags the check as partial.
     """
     checks: list[CheckResult] = []
     abc = enc.alphabet

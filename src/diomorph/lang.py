@@ -11,6 +11,8 @@ materializing them.
 Words are validated where they come from outside: built from letter names,
 run pairs or text.  Operations whose output is normal by construction (such
 as ``morph.apply``) build it through ``_normal_word`` and skip the check.
+A word counts its letters once, on first use of ``Word.counts``, and keeps
+the counts; words that are never counted stay as small as before.
 
 Operations that must produce uncompressed data (``expand``) or an unbounded
 number of runs (``word_power`` of a multi-run word, morphism application
@@ -41,6 +43,14 @@ def _check_letter_name(name: Letter) -> None:
 class LeveledAlphabet:
     letters: tuple[Letter, ...]
     level_sizes: tuple[int, ...]
+
+    def __eq__(self, other):
+        """Identity first: words and morphisms mostly share one alphabet object."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters and self.level_sizes == other.level_sizes
 
     def __post_init__(self):
         if not self.letters:
@@ -128,6 +138,23 @@ class Word:
     def length(self) -> int:
         return sum(count for _, count in self.runs)
 
+    @property
+    def counts(self) -> dict[int, int]:
+        """Letter counts by alphabet position, no zeros; counted on first use.
+
+        The dict is kept on the word (outside its fields, so equality and
+        hash ignore it) and shared with letter-count matrices: do not mutate.
+        """
+        counts = getattr(self, "_counts", None)
+        if counts is None:
+            position = self.alphabet._positions
+            counts = {}
+            for letter, count in self.runs:
+                i = position[letter]
+                counts[i] = counts.get(i, 0) + count
+            object.__setattr__(self, "_counts", counts)  # as the frozen dataclass sets fields
+        return counts
+
     def support(self) -> frozenset[Letter]:
         return frozenset(letter for letter, _ in self.runs)
 
@@ -206,14 +233,6 @@ def word_power(a: Word, k: int, cap: int | None = None) -> Word:
     if len(a.runs) * k > limit:
         raise ExpansionCapExceeded(len(a.runs) * k, limit, f"run count of a {len(a.runs)}-run word to the power {k}")
     return Word(a.alphabet, _normalize_runs(a.runs * k))
-
-
-def parikh(w: Word) -> dict[Letter, int]:
-    """Letter-count vector as a sparse map (no zero entries)."""
-    counts: dict[Letter, int] = {}
-    for letter, count in w.runs:
-        counts[letter] = counts.get(letter, 0) + count
-    return counts
 
 
 def count_of(w: Word, letter: Letter) -> int:

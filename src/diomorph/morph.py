@@ -7,9 +7,16 @@ left to right: ``compose(f, g)`` is the map "apply f, then g", so
 
 The bridge to matrices: ``matrix_of(g)`` has as row i the letter counts of
 the image of letter i.  Counting letters before or after applying g is the
-same thing (``parikh(apply(g, w)) == parikh(w) · matrix_of(g)``), and the
-matrix of a composition is the product of the matrices; those two facts carry
-every word-level statement in this package over to exact integer matrices.
+same thing (``parikh_vector(apply(g, w)) == parikh_vector(w) · matrix_of(g)``),
+and the matrix of a composition is the product of the matrices; those two
+facts carry every word-level statement in this package over to exact integer
+matrices.
+
+Images are shared, not copied: ``apply`` of a one-letter word returns the
+morphism's image object itself, so ``compose(f, g)`` reuses g's images
+wherever f maps a letter to one letter, and every empty image of a composite
+is one shared empty word.  A word keeps its letter counts (``Word.counts``)
+and ``matrix_of`` takes its rows from them, so a shared image is counted once.
 """
 
 from __future__ import annotations
@@ -95,12 +102,19 @@ def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
 
     A run a^n maps to (image of a)^n; single-letter images keep the result
     compact regardless of n, while multi-run images multiply the run count
-    and are therefore cap-guarded.
+    and are therefore cap-guarded.  A one-letter word maps to the image
+    object itself, under the same cap.
     """
     if w.alphabet != m.domain:
         raise AlphabetMismatch("word is not over the morphism's domain")
     limit = expansion_cap(cap)
     position = m.domain._positions  # every letter of w is in the domain
+    if len(w.runs) == 1 and w.runs[0][1] == 1:  # one letter: its image, shared
+        letter = w.runs[0][0]
+        img = m.images[position[letter]]
+        if len(img.runs) > limit:  # limit >= 1, so as below only multi-run images are capped
+            raise ExpansionCapExceeded(len(img.runs), limit, f"image of run {letter}^1 under application")
+        return img
     runs: list[tuple[Letter, int]] = []
     unmerged = 0  # runs of the plain concatenation of images, which the cap counts
     for letter, count in w.runs:
@@ -125,11 +139,19 @@ def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
 
 
 def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:
-    """The morphism "f then g"; image tables are materialized eagerly."""
+    """The morphism "f then g"; image tables are materialized eagerly.
+
+    Where f maps a letter to one letter, the composite shares g's image of
+    it; every empty image is one shared empty word.
+    """
     if f.codomain != g.domain:
         raise AlphabetMismatch("codomain of the first morphism must be the domain of the second")
+    empty = lang._normal_word(g.codomain, ())
     images = []
     for letter, img in zip(f.domain.letters, f.images):
+        if not img.runs:
+            images.append(empty)
+            continue
         try:
             images.append(apply(g, img, cap))
         except ExpansionCapExceeded as exc:
@@ -161,22 +183,16 @@ def power(m: Morphism, k: int, cap: int | None = None) -> Morphism:
 
 
 def parikh_vector(w: Word) -> matsem.Vector:
-    """Letter counts of w as a sparse vector indexed by alphabet position."""
-    return {w.alphabet.index_of(z): n for z, n in lang.parikh(w).items()}
+    """Letter counts of w as a sparse vector indexed by alphabet position (a copy)."""
+    return dict(w.counts)
 
 
 def matrix_of(g: Morphism) -> matsem.SparseMatrix:
     """The letter-count matrix: row i counts the letters in the image of letter i."""
     if not g.is_endomorphism:
         raise AlphabetMismatch("the letter-count matrix needs an endomorphism")
-    position = g.domain._positions  # every image letter is in the codomain, the domain
-    rows: dict[int, matsem.Vector] = {}
-    for i, img in enumerate(g.images):
-        if img.runs:
-            row = rows[i] = {}
-            for letter, count in img.runs:
-                j = position[letter]
-                row[j] = row.get(j, 0) + count
+    # images live over the codomain, the domain: their counts are indexed alike
+    rows = {i: img.counts for i, img in enumerate(g.images) if img.runs}
     return matsem._from_rows(len(g.domain), rows)
 
 

@@ -5,6 +5,7 @@ lines; each test prints ``[acceptance] <name>: PASS/FAIL (<elapsed>)`` and
 asserts its stated time bound where one exists.
 """
 
+import hashlib
 import itertools
 import time
 from contextlib import contextmanager
@@ -94,6 +95,11 @@ def test_04_matrix_functor_tracks_composition(squares_encoder):
         assert len(report.checks) == 126  # every generator word of length 1..6
         word_exact = sum(1 for c in report.checks if c.method == "word")
         assert word_exact >= 116  # the rest are verified row-wise under the cap
+        assert report.notes == ("10 of 126 words exceeded the expansion cap and were "
+                                "verified on sampled rows only",)
+        # recorded before composites shared one-letter images
+        digest = hashlib.sha256(report.render("machine").encode()).hexdigest()
+        assert digest == "3b994e0899e2ee7ce738bdb184f6dc95476dee5bce31513f6e6f81e932f23f4b"
 
 
 def test_05_staged_evaluation_exhaustive(squares_encoder):

@@ -1,7 +1,9 @@
 """Tests for the two-counter encoder and its verification suites."""
 
 import dataclasses
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -134,11 +136,15 @@ GOLDEN_SUITE_SHA256 = {
     ("toy_encoder", "functoriality"): "80b6906478c5f798138bddfc3524765905cd60f2288370b3f58a98e168338ba3",
     ("squares_encoder", "conditions"): "fa487b6836096bed4be580adf6ffa2c2fbd629128c00610cd9e3dcc05043477e",
     ("squares_encoder", "collapse"): "28d3a954c43ae7e93a4e3950cb0570f8f7b71a224459458108de81e460836921",
+    # recorded before composites shared one-letter images and words kept
+    # their letter counts
+    ("squares_encoder", "staged-bound-1"): "611f1268c3bae55fb995251173545cccbe3f09258d4ce666e8d681faf1537b67",
 }
 SUITES = {
     "conditions": encode.condition_suite,
     "collapse": lambda enc: encode.annihilation_suite(enc, max_len=3),
     "staged": encode.staged_evaluation_suite,
+    "staged-bound-1": lambda enc: encode.staged_evaluation_suite(enc, bound=1),
     "functoriality": encode.functoriality_suite,
 }
 
@@ -147,6 +153,41 @@ SUITES = {
 def test_suite_reports_match_golden_digests(fixture, suite, request):
     text = SUITES[suite](request.getfixturevalue(fixture)).render("machine")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUITE_SHA256[fixture, suite]
+
+
+def test_loading_and_generator_matrices_retain_no_more_memory(squares_encoder):
+    """Kept letter counts cost no memory beyond the matrix rows they become.
+
+    Loading the squares encoder and building its generator matrices retains
+    18.54 MB under tracemalloc (Python 3.11); the same load with rows built
+    afresh from the runs, the words left uncounted, retains as much.
+    """
+    text = interchange.dumps(interchange.encoder_to_doc(squares_encoder))
+
+    def fresh_rows(g):
+        position = g.domain._positions
+        rows = {}
+        for i, img in enumerate(g.images):
+            if img.runs:
+                row = rows[i] = {}
+                for letter, count in img.runs:
+                    row[position[letter]] = row.get(position[letter], 0) + count
+        return rows
+
+    def retained(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            enc = interchange.encoder_from_doc(interchange.loads(text))
+            kept = build(enc)  # noqa: F841 -- held while measuring
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    counted = retained(encode.matrices)
+    uncounted = retained(lambda enc: (fresh_rows(enc.g1), fresh_rows(enc.g2)))
+    assert counted <= uncounted + 16 * 1024
 
 
 def test_witnesses_are_tagged_translations(toy_encoder):

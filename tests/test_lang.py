@@ -30,6 +30,19 @@ def test_alphabet_rejects_bad_names():
         lang.flat_alphabet(["dup", "dup"])
 
 
+def test_equal_but_distinct_alphabets_compare_and_hash_equal():
+    a = lang.leveled_alphabet([["a1", "b1"], ["e"]])
+    b = lang.leveled_alphabet([["a1", "b1"], ["e"]])
+    assert a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a == a
+    for other in (lang.leveled_alphabet([["a1"], ["b1", "e"]]),
+                  lang.leveled_alphabet([["b1", "a1"], ["e"]]),
+                  lang.flat_alphabet(["a1", "b1", "e"])):
+        assert a != other and other != a
+    assert a != ("a1", "b1", "e")
+
+
 def test_unknown_letter_lookup():
     with pytest.raises(AlphabetMismatch):
         Z.index_of("nope")
@@ -51,14 +64,14 @@ def test_word_from_runs_merges_boundaries():
 def test_epsilon():
     assert lang.epsilon(Z).is_empty
     assert lang.epsilon(Z).length == 0
-    assert lang.parikh(lang.epsilon(Z)) == {}
+    assert lang.epsilon(Z).counts == {}
 
 
 def test_astronomical_letter_power():
     big = 10**40
     w = lang.letter_power(Z, "e", big)
     assert w.length == big
-    assert lang.parikh(w) == {"e": big}
+    assert w.counts == {Z.index_of("e"): big}
 
 
 # ---------------------------------------------------------------- concat / power
@@ -101,14 +114,14 @@ def test_power_multi_run_capped():
 # ---------------------------------------------------------------- parikh
 
 def test_parikh_counts():
-    assert lang.parikh(W(["z1", "z2", "z1"])) == {"z1": 2, "z2": 1}
+    assert W(["z1", "z2", "z1"]).counts == {Z.index_of("z1"): 2, Z.index_of("z2"): 1}
 
 
 def test_parikh_matches_tupling_value():
     # the length of e^{C3(1,2,3)} is the tupling value itself
     value = poly.evaluate(poly.injective_tupling(3), (1, 2, 3))
     w = lang.letter_power(Z, "e", value)
-    assert lang.parikh(w) == {"e": 179}
+    assert w.counts == {Z.index_of("e"): 179}
     assert lang.count_of(w, "e") == 179
     assert lang.count_of(w, "z1") == 0
 
@@ -171,7 +184,22 @@ def merge(a, b):
 @given(small_words, small_words)
 @settings(max_examples=150)
 def test_parikh_is_morphism(a, b):
-    assert lang.parikh(lang.word_concat(a, b)) == merge(lang.parikh(a), lang.parikh(b))
+    assert lang.word_concat(a, b).counts == merge(a.counts, b.counts)
+
+
+@given(st.lists(st.tuples(letters, st.integers(0, 10**20)), max_size=12))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_counts_match_reference_loop(pairs):
+    w = lang.word_from_runs(Z, pairs)
+    want = {}
+    for letter, count in pairs:
+        if count:
+            want[Z.index_of(letter)] = want.get(Z.index_of(letter), 0) + count
+    fresh = lang.word_from_runs(Z, pairs)
+    assert w.counts == want
+    assert w.counts is w.counts  # counted once, then kept
+    # the kept counts are not part of the word's value
+    assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
 
 
 @given(small_words, small_words)

@@ -7,6 +7,7 @@ from diomorph.errors import AlphabetMismatch, ExpansionCapExceeded
 
 Z = lang.flat_alphabet(["z1", "z2"])
 Z4 = lang.flat_alphabet(["z1", "z2", "z3", "z4"])
+Z3 = lang.flat_alphabet(["a", "b", "c"])
 
 
 def mk(alphabet, table):
@@ -181,7 +182,26 @@ def test_apply_cap_counts_runs_before_merging():
     assert (err.value.needed, err.value.cap) == (19, 18)
 
 
-Z3 = lang.flat_alphabet(["a", "b", "c"])
+def test_apply_of_one_letter_returns_the_image_itself():
+    m = mk(Z3, {"a": "a b c a b", "b": "b^4", "c": ""})
+    for i, z in enumerate(Z3.letters):
+        assert morph.apply(m, lang.word(Z3, [z])) is m.images[i]
+    # longer words still get a fresh word
+    assert morph.apply(m, lang.word(Z3, ["b", "b"])).runs == (("b", 8),)
+
+
+def test_apply_of_one_letter_cap_boundary():
+    m = mk(Z3, {"a": "a b c a b", "b": "b^4", "c": ""})
+    one = lang.word(Z3, ["a"])
+    assert morph.apply(m, one, cap=5).runs == m.images[0].runs
+    with pytest.raises(ExpansionCapExceeded) as err:
+        morph.apply(m, one, cap=4)
+    assert (err.value.needed, err.value.cap, str(err.value)) == (
+        5, 4, "expansion cap exceeded: needs 5 > cap 4 (image of run a^1 under application)")
+    # one-run and empty images are never capped
+    assert morph.apply(m, lang.word(Z3, ["b"]), cap=1).runs == (("b", 4),)
+    assert morph.apply(m, lang.word(Z3, ["c"]), cap=1).is_empty
+
 runs3 = st.lists(st.tuples(st.sampled_from(Z3.letters), st.integers(1, 3)), min_size=2, max_size=4)
 images3 = st.one_of(
     st.just([]),
@@ -194,7 +214,10 @@ images3 = st.one_of(
 
 @given(
     st.lists(images3, min_size=3, max_size=3),
-    st.lists(st.tuples(st.sampled_from(Z3.letters), st.integers(1, 4)), max_size=6),
+    st.one_of(
+        st.sampled_from(Z3.letters).map(lambda z: [(z, 1)]),  # one-letter words
+        st.lists(st.tuples(st.sampled_from(Z3.letters), st.integers(1, 4)), max_size=6),
+    ),
     st.one_of(st.none(), st.integers(1, 40)),
 )
 @settings(max_examples=400, deadline=None)
@@ -244,6 +267,18 @@ def test_power_unrolls_composition():
     assert lang.count_of(img, "z2") == 25
 
 
+def test_compose_shares_the_images_of_one_letter_images(squares_encoder):
+    g2, P = squares_encoder.g2, squares_encoder.g1
+    composite = morph.compose(g2, P)
+    erased = {id(out) for img, out in zip(g2.images, composite.images) if not img.runs}
+    assert len(erased) == 1  # one shared empty word
+    for img, out in zip(g2.images, composite.images):
+        if img.runs:
+            (letter, count), = img.runs  # g2 maps every letter to at most one letter
+            assert count == 1
+            assert out is P.image(letter)
+
+
 def test_compose_cap_names_letter():
     wide = mk(Z, {"z1": "z1^2 z2", "z2": "z2 z1"})
     with pytest.raises(ExpansionCapExceeded) as err:
@@ -260,6 +295,17 @@ def test_matrix_of_identity_and_zero():
 
 def test_matrix_of_unipotent_rewrite():
     assert morph.matrix_of(H) == matsem.from_dense([[1, 1], [0, 1]])
+
+
+def test_parikh_vector_is_a_copy():
+    m = mk(Z, {"z1": "z1 z2^3", "z2": "z2"})
+    vec = morph.parikh_vector(m.images[0])
+    assert vec == {0: 1, 1: 3}
+    morph.matrix_of(m)  # shares the image's counts as its rows
+    vec[0] = 99
+    vec[5] = 1
+    assert morph.matrix_of(m) == matsem.from_dense([[1, 3], [0, 1]])
+    assert morph.parikh_vector(m.images[0]) == {0: 1, 1: 3}
 
 
 def test_triangularity_predicate():
