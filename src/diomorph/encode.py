@@ -10,12 +10,12 @@ Construction outline.  Both polynomials are first composed with an injective
 tupling polynomial so that the last argument slot records the polynomial
 value alongside the input tuple (see :func:`diomorph.poly.injective_tupling`).
 The two tupled polynomials become two staged counters: the monomial
-systems of both are laid out side by side in one pass
-(:func:`diomorph.mtriple.lay_out`), the first polynomial's letters tagged
-``A:`` and the second's ``B:``, each counter named exactly as
-:func:`diomorph.mtriple.compile_polynomial` would name it alone, and four
-fresh control letters ``c0..c3`` are prepended.  The control letters steer
-which counter an equation side addresses:
+gadgets of both are laid out side by side in one pass, straight from their
+exponents (:func:`diomorph.mtriple.lay_out_monomials`), the first
+polynomial's letters tagged ``A:`` and the second's ``B:``, each counter
+named exactly as :func:`diomorph.mtriple.compile_polynomial` would name it
+alone, and four fresh control letters ``c0..c3`` are prepended.  The
+control letters steer which counter an equation side addresses:
 
 * ``c0 . g2 = c1``, ``c1 . g2 = c2``, ``c2 . g2 = c3``, ``c3 . g2 = c3``;
 * ``c2 . g1`` starts the first counter (the image of the first counter's
@@ -33,14 +33,14 @@ which by injectivity of the tupling happens exactly when p = q at the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
 from . import matsem, mtriple, poly
 from .config import alphabet_budget, expansion_cap
 from .errors import ArityMismatch, ExpansionCapExceeded
-from .lang import LeveledAlphabet, Letter, Word, epsilon, letter_power, word, word_concat
+from .lang import LeveledAlphabet, Letter, Word, epsilon, letter_power, word
 from .morph import (
     Morphism,
     apply,
@@ -140,8 +140,10 @@ def build_encoder(
     """Compile the pair (p, q) into the merged two-counter encoder.
 
     ``tupling`` is a (t+1)-ary polynomial that must be injective on positive
-    tuples; it defaults to the iterated pairing construction.  the budget
-    bounds the merged alphabet size.
+    tuples; it defaults to the iterated pairing construction.  ``budget``
+    bounds each monomial gadget and the merged alphabet size.  The gadgets
+    are laid out straight from the exponents
+    (:func:`diomorph.mtriple.lay_out_monomials`); no per-term system is built.
     """
     t = p.arity
     if q.arity != t:
@@ -159,14 +161,9 @@ def build_encoder(
 
     p_tupled, q_tupled = tupled(p, tupling), tupled(q, tupling)
 
-    first = mtriple.monomial_parts(p_tupled, budget=limit)
-    second = mtriple.monomial_parts(q_tupled, budget=limit)
-    tags = [f"{FIRST_TAG}:"] * len(first) + [f"{SECOND_TAG}:"] * len(second)
-    alphabet, g1_images, g2_images, witnesses = mtriple.lay_out(
-        first + second, tags, head=CONTROL_LETTERS, budget=limit,
-        context="merged encoder alphabet")
-    u = reduce(word_concat, witnesses[:len(first)])
-    v = reduce(word_concat, witnesses[len(first):])
+    alphabet, g1_images, g2_images, (u, v) = mtriple.lay_out_monomials(
+        (p_tupled, q_tupled), (f"{FIRST_TAG}:", f"{SECOND_TAG}:"), head=CONTROL_LETTERS,
+        budget=limit, context="merged encoder alphabet")
 
     # c2 and c3 start the two counters: their g1 images are u.g1 and v.g1
     eps = epsilon(alphabet)

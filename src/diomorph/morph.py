@@ -105,7 +105,7 @@ def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
     and are therefore cap-guarded.  A one-letter word maps to the image
     object itself, under the same cap.
     """
-    if w.alphabet != m.domain:
+    if w.alphabet is not m.domain and w.alphabet != m.domain:  # identity first: no __eq__ call
         raise AlphabetMismatch("word is not over the morphism's domain")
     limit = expansion_cap(cap)
     position = m.domain._positions  # every letter of w is in the domain

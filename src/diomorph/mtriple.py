@@ -19,6 +19,10 @@ Built here:
   nonnegative linear combinations via witness repetition; and the compile
   step that lays out all monomial systems of a nonzero polynomial with
   nonnegative coefficients at once;
+* the same layout for whole polynomials built from their exponents alone
+  (``lay_out_monomials``, which the encoder uses): every gadget is named
+  straight into the merged alphabet, without a system or a renaming per
+  term; ``lay_out`` of ``monomial_parts`` stays as its reference;
 * evaluation, word-level when feasible and via letter-count matrices when
   the intermediate words would blow past the expansion cap.
 """
@@ -217,6 +221,20 @@ def _block_images(exponent: int) -> list[list[int]]:
 
 # ------------------------------------------------------------------ monomials
 
+def _monomial_sizes(exponents: Sequence[int], budget: int | None) -> list[int]:
+    """Level sizes of the monomial system for these exponents, checked against the budget."""
+    if len(exponents) < 1:
+        raise ValueError("need at least one exponent")
+    if any(a < 0 for a in exponents):
+        raise ValueError("exponents must be nonnegative")
+    sizes = [2 ** max(a, 1) for a in exponents]
+    limit = alphabet_budget(budget)
+    if sum(sizes) + 1 > limit:
+        raise AlphabetBudgetExceeded(sum(sizes) + 1, limit,
+                                     f"monomial with exponents {tuple(exponents)}")
+    return sizes
+
+
 def _leveled_names(sizes: Sequence[int]) -> LeveledAlphabet:
     blocks = [[f"{li}.{j + 1}" for j in range(size)] for li, size in enumerate(sizes, start=1)]
     blocks.append(["e"])
@@ -226,16 +244,7 @@ def _leveled_names(sizes: Sequence[int]) -> LeveledAlphabet:
 def monomial_mtriple(exponents: Sequence[int], budget: int | None = None) -> ComputableMap:
     """The system computing x₁^{α₁} ⋯ x_t^{α_t}, with the first letter as witness."""
     t = len(exponents)
-    if t < 1:
-        raise ValueError("need at least one exponent")
-    if any(a < 0 for a in exponents):
-        raise ValueError("exponents must be nonnegative")
-    sizes = [2 ** max(a, 1) for a in exponents]
-    limit = alphabet_budget(budget)
-    if sum(sizes) + 1 > limit:
-        raise AlphabetBudgetExceeded(sum(sizes) + 1, limit,
-                                     f"monomial with exponents {tuple(exponents)}")
-    alphabet = _leveled_names(sizes)
+    alphabet = _leveled_names(_monomial_sizes(exponents, budget))
     levels = alphabet.levels
     eps = lang.epsilon(alphabet)
 
@@ -308,6 +317,78 @@ def lay_out(systems: Sequence[ComputableMap], tags: Sequence[str] | None = None,
             g2[renaming[a]] = lang.translate(image2, renaming, merged)
     witnesses = [lang.translate(c.witness, renaming, merged)
                  for c, renaming in zip(systems, renamings)]
+    return merged, g1, g2, witnesses
+
+
+def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str] | None = None,
+                      head: Sequence[Letter] = (), budget: int | None = None,
+                      context: str = "side-by-side layout",
+                      ) -> tuple[LeveledAlphabet, dict[Letter, Word], dict[Letter, Word], list[Word]]:
+    """:func:`lay_out` of the polynomials' monomial systems, built from the exponents alone.
+
+    Returns what ``lay_out`` returns for the :func:`monomial_parts` of all
+    polynomials in order, polynomial k's terms tagged ``tags[k]``, except
+    that each polynomial has one witness: its terms' witnesses concatenated.
+    No per-term system is built and nothing is translated: every letter is
+    named "{tag}{level}.{position}" in the merged alphabet at once, each
+    level gadget's image index lists are computed once per exponent, and the
+    images, normal by construction, share one empty word.  Errors are those
+    of that path, in its order: per polynomial, a zero polynomial, then per
+    term the monomial checks; then differing arities; then the merged total
+    against ``budget`` (named by ``context``).
+    """
+    for p in polynomials:
+        if p.is_zero:
+            raise ValueError("cannot compile the zero polynomial")
+        for exponents, _ in p.terms:
+            _monomial_sizes(exponents, budget)
+    t = polynomials[0].arity
+    for p in polynomials:
+        if p.arity != t:
+            raise DimensionMismatch(f"dimensions {t} and {p.arity} differ")
+    tags = tags or [""] * len(polynomials)
+    systems = [(k, exponents, coeff)
+               for k, p in enumerate(polynomials) for exponents, coeff in p.terms]
+    starts = [[0] * (t + 1) for _ in systems]  # each system's block start per level, then e's
+    letters: list[Letter] = list(head)
+    sizes: list[int] = []
+    for li in range(t):
+        filled = dict.fromkeys(tags, 0)
+        for (k, exponents, _), start in zip(systems, starts):
+            tag = tags[k]
+            start[li] = len(letters)
+            size = 2 ** max(exponents[li], 1)
+            at = filled[tag]
+            letters += [f"{tag}{li + 1}.{j}" for j in range(at + 1, at + size + 1)]
+            filled[tag] = at + size
+        sizes.append(len(letters) - sum(sizes))
+    for start in starts:
+        start[t] = len(letters)
+    letters.append("e")
+    sizes.append(1)
+    limit = alphabet_budget(budget)
+    if len(letters) > limit:
+        raise AlphabetBudgetExceeded(len(letters), limit, context)
+    merged = LeveledAlphabet(tuple(letters), tuple(sizes))
+
+    single = [(a, 1) for a in letters]  # one shared run per letter
+    eps = lang.epsilon(merged)
+    g1: dict[Letter, Word] = {"e": eps}
+    g2: dict[Letter, Word] = {"e": eps}
+    gadgets: dict[int, list[list[int]]] = {}
+    witness_runs: list[list[tuple[Letter, int]]] = [[] for _ in polynomials]
+    for (k, exponents, coeff), start in zip(systems, starts):
+        witness_runs[k].append((letters[start[0]], coeff))
+        for li, exponent in enumerate(exponents):
+            if exponent not in gadgets:
+                gadgets[exponent] = _block_images(exponent)
+            at = start[li]
+            for i, indices in enumerate(gadgets[exponent], start=at):
+                g1[letters[i]] = lang._normal_word(merged, tuple(single[at + j] for j in indices))
+                g2[letters[i]] = eps
+            # the block's last letter hands down to the system's next level (or e)
+            g2[letters[i]] = lang._normal_word(merged, (single[start[li + 1]],))
+    witnesses = [lang._normal_word(merged, tuple(runs)) for runs in witness_runs]
     return merged, g1, g2, witnesses
 
 

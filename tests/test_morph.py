@@ -149,6 +149,20 @@ def test_apply_alphabet_mismatch():
         morph.apply(H, lang.word(Z4, ["z1"]))
 
 
+def test_apply_takes_a_word_over_an_equal_alphabet_object():
+    copy = lang.flat_alphabet(["z1", "z2"])
+    assert copy is not Z and copy == Z
+    for letters in (["z1"], ["z1", "z2", "z1"]):
+        assert morph.apply(H, lang.word(copy, letters)) == morph.apply(H, lang.word(Z, letters))
+
+
+def test_apply_rejects_same_letters_in_other_levels():
+    leveled = lang.leveled_alphabet([["z1"], ["z2"]])
+    assert leveled.letters == Z.letters and leveled != Z
+    with pytest.raises(AlphabetMismatch, match="not over the morphism's domain"):
+        morph.apply(H, lang.word(leveled, ["z1", "z2"]))
+
+
 def reference_apply(m, w, cap=None):
     """The plain concatenation of images, re-normalized through word_from_runs."""
     if w.alphabet != m.domain:

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +311,101 @@ def test_direct_sum_matches_pairwise_reference():
         u, v, triple = _reference_direct_sum(a, b)
         assert merged_a.triple == merged_b.triple == triple
         assert (merged_a.witness, merged_b.witness) == (u, v)
+
+
+# ---------------------------------------------------------------- monomial layout from exponents
+
+def _reference_monomial_layout(polys, tags=None, head=(), budget=None, context="side-by-side layout"):
+    """lay_out of every polynomial's monomial systems, one concatenated witness per polynomial."""
+    parts = [mtriple.monomial_parts(p, budget) for p in polys]
+    part_tags = [tag for tag, ps in zip(tags, parts) for _ in ps] if tags else None
+    merged, g1, g2, witnesses = mtriple.lay_out(
+        [c for ps in parts for c in ps], part_tags, head, budget, context)
+    rest = iter(witnesses)
+    return merged, g1, g2, [reduce(lang.word_concat, [next(rest) for _ in ps]) for ps in parts]
+
+
+def _outcome(layout, *args):
+    """The layout, or the error it raises with every field that names it."""
+    try:
+        return layout(*args)
+    except (ValueError, AlphabetBudgetExceeded) as exc:
+        fields = (exc.needed, exc.budget, exc.context) if isinstance(exc, AlphabetBudgetExceeded) else ()
+        return type(exc), str(exc), fields
+
+
+def _assert_same_layout(got, want):
+    if not isinstance(want[0], lang.LeveledAlphabet):  # both raised
+        assert got == want
+        return
+    merged, g1, g2, witnesses = got
+    assert merged.letters == want[0].letters and merged.level_sizes == want[0].level_sizes
+    for table, reference in ((g1, want[1]), (g2, want[2])):
+        assert list(table) == list(reference)
+        for letter, image in table.items():
+            assert image.alphabet == merged and image.runs == reference[letter].runs
+    assert [w.runs for w in witnesses] == [w.runs for w in want[3]]
+    assert all(w.alphabet == merged for w in witnesses)
+
+
+def _monomial_size(exponents):
+    return sum(2 ** max(a, 1) for a in exponents) + 1
+
+
+@st.composite
+def monomial_layouts(draw):
+    """One or two polynomials of arity 1-3, at most 5 terms, exponents 0-3, coefficients 1-3."""
+    arity = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * arity)
+    polys = [poly.polynomial(arity, draw(st.dictionaries(
+        exponents, st.integers(1, 3), min_size=1, max_size=5))) for _ in range(draw(st.integers(1, 2)))]
+    tags = draw(st.sampled_from([None, ("A:", "B:"), ("T", "T")]))
+    head = draw(st.sampled_from([(), ("c0",), ("c0", "c1", "c2", "c3")]))
+    return polys, tags and tags[:len(polys)], head
+
+
+@given(monomial_layouts())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_monomial_layout_matches_layout_of_monomial_parts(case):
+    polys, tags, head = case
+    largest = max(_monomial_size(e) for p in polys for e, _ in p.terms)
+    total = len(head) + sum(_monomial_size(e) - 1 for p in polys for e, _ in p.terms) + 1
+    for budget in (None, largest - 1, largest, total - 1, total):
+        args = (polys, tags, head, budget, "merged total")
+        _assert_same_layout(_outcome(mtriple.lay_out_monomials, *args),
+                            _outcome(_reference_monomial_layout, *args))
+    assert len(mtriple.lay_out_monomials(polys, tags, head, total)[0]) == total
+    if total - 1 >= largest:
+        with pytest.raises(AlphabetBudgetExceeded, match=rf"needs {total} > budget {total - 1} \(merged total\)"):
+            mtriple.lay_out_monomials(polys, tags, head, total - 1, "merged total")
+
+
+def _unchecked_polynomial(arity, terms):
+    """A polynomial built past its own asserts, as ``python -O`` would let through."""
+    p = object.__new__(poly.Polynomial)
+    object.__setattr__(p, "arity", arity)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+@pytest.mark.parametrize("polys, budget", [
+    # a zero polynomial, before any term of it or of a later polynomial
+    ([poly.zero(2), poly.polynomial(2, {(3, 3): 1})], 5),
+    # the first polynomial's terms, before the second polynomial is looked at
+    ([poly.polynomial(2, {(1, 0): 1, (3, 3): 1}), poly.zero(2)], 12),
+    # a negative exponent, before that term's budget
+    ([_unchecked_polynomial(2, (((-1, 9), 1),))], 5),
+    # a term too large, in term order: p's before q's
+    ([poly.polynomial(2, {(2, 0): 1}), poly.polynomial(2, {(3, 3): 1})], 12),
+    # differing arities, before the merged total (5 and 7 letters apart, 11 together)
+    ([poly.variable(1, 2), poly.variable(1, 3)], 10),
+    # the merged total
+    ([poly.polynomial(2, {(1, 1): 1, (2, 0): 1}), poly.variable(1, 2)], 14),
+])
+def test_monomial_layout_raises_in_the_reference_order(polys, budget):
+    got = _outcome(mtriple.lay_out_monomials, polys, ("A:", "B:")[:len(polys)], (), budget, "ctx")
+    want = _outcome(_reference_monomial_layout, polys, ("A:", "B:")[:len(polys)], (), budget, "ctx")
+    assert isinstance(want[0], type) and got == want
 
 
 # ---------------------------------------------------------------- validation details
