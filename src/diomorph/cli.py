@@ -109,21 +109,9 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _result_doc(result: solve.SolveResult) -> dict:
-    return {
-        "outcome": result.outcome,
-        "level": result.level,
-        "method": result.method,
-        "max_len": result.max_len,
-        "witness": list(result.witness) if result.witness is not None else None,
-        "pair": [list(result.pair[0]), list(result.pair[1])] if result.pair else None,
-        "detail": result.detail,
-    }
-
-
 def _result_text(result: solve.SolveResult, fmt: str) -> str:
     if fmt == "machine":
-        return interchange.dumps(_result_doc(result))
+        return interchange.dumps(result.to_doc())
     if result.pair is not None:
         what = "pair " + " | ".join(
             " ".join(map(str, side)) if side else "(empty)" for side in result.pair
@@ -196,18 +184,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.encoder)
     cap = _effective_cap(args.cap)
     levels = ("matrix", "morphism") if args.level == "both" else (args.level,)
+    pt = solve.point(enc, args.n, args.s, args.max_len)
     results: list[solve.SolveResult] = []
-    with solve._sides_of_point(enc, args.n, args.s) as (a, b, m1, m2):
-        for level in levels:
-            if level == "matrix":
-                matrix_solver = solve.solve_two_unknowns if args.two else solve.solve_one_unknown
-                results.append(matrix_solver(a, b, m1, m2, args.max_len))
-            else:
-                word_solver = solve.solve_two_unknowns_words if args.two else solve.solve_one_unknown_words
-                results.append(word_solver(enc, args.n, args.s, args.max_len, cap=cap))
+    for level in levels:
+        if level == "matrix":
+            results.append((solve.solve_two_unknowns if args.two else solve.solve_one_unknown)(pt))
+        else:
+            word_solver = solve.solve_two_unknowns_words if args.two else solve.solve_one_unknown_words
+            results.append(word_solver(pt, cap=cap))
     if args.format == "machine" and len(results) == 2:
         text = interchange.dumps(
-            {level: _result_doc(r) for level, r in zip(levels, results)}
+            {level: r.to_doc() for level, r in zip(levels, results)}
         )
     else:
         text = "".join(_result_text(r, args.format) for r in results)

@@ -9,6 +9,14 @@ class ArityMismatch(ValueError):
     """Polynomial operands disagree on the number of variables."""
 
 
+class InvalidPolynomial(ValueError):
+    """A polynomial has arity below 1 or a negative exponent."""
+
+
+class InvalidDocument(ValueError):
+    """A document field that must hold an integer holds something else."""
+
+
 class AlphabetMismatch(ValueError):
     """A word or morphism was used with an alphabet it does not belong to."""
 

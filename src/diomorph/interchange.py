@@ -5,16 +5,21 @@ documents, serialized with sorted keys.  Counts that may exceed native JSON
 number precision (matrix entries, monomial coefficients) are carried as
 decimal strings.  Serialization is deterministic: the same object always
 produces the same bytes.
+
+Every integer field is read by :func:`read_int`, which takes a JSON integer
+or a decimal string and rejects anything else (floats, booleans, other
+text) with :class:`InvalidDocument`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from . import poly
 from .encode import CONTROL_LETTERS, FINAL_LETTER, Encoder, tupled
-from .errors import InvalidEncoder
+from .errors import InvalidDocument, InvalidEncoder
 from .lang import LeveledAlphabet, Word, parse_word, text
 from .matsem import SparseMatrix
 from .morph import Morphism, endomorphism
@@ -26,6 +31,18 @@ def dumps(doc: dict) -> str:
 
 def loads(data: str) -> Any:
     return json.loads(data)
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def read_int(value: Any, name: str) -> int:
+    """An integer field: a JSON integer (not a bool) or a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise InvalidDocument(f"{name} must be an integer, got {value!r}")
 
 
 # ------------------------------------------------------------- polynomials
@@ -41,9 +58,9 @@ def polynomial_to_doc(p: poly.Polynomial) -> dict:
 
 
 def polynomial_from_doc(doc: dict) -> poly.Polynomial:
-    arity = int(doc["arity"])
+    arity = read_int(doc["arity"], "arity")
     pairs = [
-        (tuple(int(e) for e in m["exponents"]), int(m["coeff"]))
+        (tuple(read_int(e, "exponent") for e in m["exponents"]), read_int(m["coeff"], "coeff"))
         for m in doc["monomials"]
     ]
     return poly.polynomial(arity, pairs)
@@ -58,7 +75,7 @@ def alphabet_to_doc(a: LeveledAlphabet) -> dict:
 
 def alphabet_from_doc(doc: dict) -> LeveledAlphabet:
     return LeveledAlphabet(
-        tuple(doc["letters"]), tuple(int(s) for s in doc["level_sizes"])
+        tuple(doc["letters"]), tuple(read_int(s, "level size") for s in doc["level_sizes"])
     )
 
 
@@ -105,7 +122,7 @@ def encoder_from_doc(doc: dict) -> Encoder:
         g2=morphism_from_doc(doc["g2"], alphabet),
         u=parse_word(alphabet, doc["u"]),
         v=parse_word(alphabet, doc["v"]),
-        dimension=int(doc["dimension"]),
+        dimension=read_int(doc["dimension"], "dimension"),
         p=polynomial_from_doc(doc["p"]),
         q=polynomial_from_doc(doc["q"]),
         p_tupled=polynomial_from_doc(doc["p_tupled"]),
@@ -135,5 +152,8 @@ def matrix_to_doc(m: SparseMatrix) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> SparseMatrix:
-    entries = tuple((int(r), int(c), int(v)) for r, c, v in doc["entries"])
-    return SparseMatrix(int(doc["dimension"]), entries)
+    entries = tuple(
+        (read_int(r, "row"), read_int(c, "column"), read_int(v, "entry"))
+        for r, c, v in doc["entries"]
+    )
+    return SparseMatrix(read_int(doc["dimension"], "dimension"), entries)

@@ -34,7 +34,7 @@ Letter = str
 def _check_letter_name(name: Letter) -> None:
     if not isinstance(name, str) or not name:
         raise ValueError(f"letter names must be nonempty strings, got {name!r}")
-    if any(ch.isspace() for ch in name) or "^" in name:
+    if name.split() != [name] or "^" in name:
         # reserved by the word text form "z1^2 z2 e^179"
         raise ValueError(f"letter name {name!r} may not contain whitespace or '^'")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, InvalidPolynomial
 
 Exponents = tuple[int, ...]
 
@@ -66,14 +66,19 @@ def polynomial(arity: int, coeffs: Mapping[Exponents, int] | Iterable[tuple[Expo
     """Build a polynomial from exponent->coefficient data, normalizing.
 
     Duplicate exponent vectors are summed; zero coefficients are dropped;
-    negative coefficients are rejected.
+    negative coefficients are rejected, and so are arities below 1 and
+    negative exponents.
     """
+    if arity < 1:
+        raise InvalidPolynomial(f"arity must be at least 1, got {arity}")
     items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
     acc: dict[Exponents, int] = {}
     for exps, coeff in items:
         exps = tuple(int(e) for e in exps)
         if len(exps) != arity:
             raise ArityMismatch(f"exponent vector {exps} has length {len(exps)}, arity is {arity}")
+        if min(exps) < 0:
+            raise InvalidPolynomial(f"exponent vector {exps} has a negative exponent")
         if coeff < 0:
             raise ValueError(f"negative coefficient {coeff}")
         if coeff:

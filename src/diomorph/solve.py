@@ -9,14 +9,20 @@ shortlex order (length first, then lexicographic with 1 < 2) up to a stated
 bound and either return the first witness or report honest exhaustion —
 "no solution within the bound" is never strengthened to "no solution".
 
-Matrix level and morphism level share the same search state: both equation
-sides keep all their letter counts in the four control rows, so the search
-carries the pair (a·X, b·X) of thin matrices and extends it by one generator
-at a time.  A subtree is pruned exactly when the left side has become the
-zero matrix, which no extension can revive (such words never satisfy the
-required nonannihilation).
+There is one search per point.  A :class:`Point` (built once per point by
+:func:`point`) holds the two equation sides ``a`` and ``b``, the generator
+matrices and the word bound.  Both sides keep all their letter counts in the
+four control rows, so each side's shortlex tree carries thin matrices
+``a·X(x)`` and ``b·X(y)`` and grows by one generator at a time.  A subtree
+is pruned exactly when its product has become the zero matrix, which no
+extension can revive: a zero left side fails the required
+nonannihilation, and a zero right side can only equal a zero left side.
+The point grows each tree only as deep as a search asks and keeps it, so
+the four solvers run on one point walk each tree once.  One loop,
+:func:`_search`, serves all four; the level, matrix or morphism, is only the
+predicate it applies to candidates whose products are equal.
 
-The two levels differ in the success predicate.  Matrix level: the two
+The two levels differ in that predicate.  Matrix level: the two
 products are equal and nonzero.  Morphism level: additionally the images
 behind the counts must agree as words.  For equation sides the letter
 supports make that decidable without materializing anything: the compared
@@ -34,21 +40,19 @@ that fallback), the same trajectory argument saves work: the prefixes
 only two distinct letters (``c2`` and ``c3``) come out, so the shared
 suffix is applied twice rather than eight times.
 
-Each point's equation is built once: the generator matrices are cached on
-the encoder, and :func:`equivalence_report` computes the two sides once per
-point and shares them with the four solvers it runs.  A found witness is
-re-verified by folding the start matrix along it afresh, row by row with a
-different kernel from the search's.
+The generator matrices are cached on the encoder, and
+:func:`equivalence_report` builds one :class:`Point` per point for its four
+solvers.  A found witness is re-verified by folding each side's start
+matrix along it afresh, row by row with a different kernel from the
+search's.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import matsem, poly
 from .encode import (
@@ -140,7 +144,7 @@ def extract_argument_tuple(
 
 
 # ---------------------------------------------------------------------------
-# Search state
+# One search per point
 # ---------------------------------------------------------------------------
 
 
@@ -157,6 +161,22 @@ class SolveResult:
     @property
     def found(self) -> bool:
         return self.outcome == "found"
+
+    @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The witness, or both words of the pair, when found."""
+        return ((self.witness,) if self.witness is not None else ()) + (self.pair or ())
+
+    def to_doc(self) -> dict:
+        return {
+            "outcome": self.outcome,
+            "level": self.level,
+            "method": self.method,
+            "witness": list(self.witness) if self.witness is not None else None,
+            "pair": [list(self.pair[0]), list(self.pair[1])] if self.pair else None,
+            "max_len": self.max_len,
+            "detail": self.detail,
+        }
 
 
 def _check_refold(
@@ -182,173 +202,145 @@ def _check_refold(
         raise AssertionError("incremental state diverged")
 
 
-def _live_nodes(
-    start: matsem.SparseMatrix,
-    step1: matsem.SparseMatrix,
-    step2: matsem.SparseMatrix,
-    max_len: int,
-) -> Iterator[list[tuple[tuple[int, ...], matsem.SparseMatrix]]]:
-    """Yield, level by level, the shortlex nodes (x, start·X(x)) with a
-    nonzero product.  Zero products are pruned together with their subtrees:
-    extensions of the zero matrix stay zero."""
-    level = [((), start)] if start.rows else []
-    yield level
-    for _ in range(max_len):
-        nxt: list[tuple[tuple[int, ...], matsem.SparseMatrix]] = []
-        for x, acc in level:
-            for symbol, step in ((1, step1), (2, step2)):
-                child = matsem.mat_mul(acc, step)
-                if child.rows:
-                    nxt.append((x + (symbol,), child))
-        level = nxt
-        yield level
+Node = tuple[tuple[int, ...], matsem.SparseMatrix]
+Candidate = tuple[tuple[int, ...], tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix]
 
 
-def _pair_candidates(
-    a: matsem.SparseMatrix,
-    b: matsem.SparseMatrix,
-    step1: matsem.SparseMatrix,
-    step2: matsem.SparseMatrix,
-    max_len: int,
-) -> list[tuple[tuple[int, ...], tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix]]:
-    """Every (x, y, a·X(x), b·X(y)) with both products nonzero, by (|x|+|y|, x, y)."""
-    lefts = [node for level in _live_nodes(a, step1, step2, max_len) for node in level]
-    rights = [node for level in _live_nodes(b, step1, step2, max_len) for node in level]
-    return sorted(((x, y, left, right) for x, left in lefts for y, right in rights),
-                  key=lambda item: (len(item[0]) + len(item[1]), item[0], item[1]))
+@dataclass(frozen=True)
+class Point:
+    """One point's equation: sides ``a``, ``b``, generator matrices ``m1``,
+    ``m2``, and the word bound every solver run on the point searches to.
 
-
-def _paired_live_nodes(
-    a: matsem.SparseMatrix,
-    b: matsem.SparseMatrix,
-    step1: matsem.SparseMatrix,
-    step2: matsem.SparseMatrix,
-    max_len: int,
-) -> Iterator[list[tuple[tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix]]]:
-    """Like :func:`_live_nodes` but carries both sides along the same word;
-    pruning is driven by the left side only (nonannihilation concerns a·x)."""
-    level = [((), a, b)] if a.rows else []
-    yield level
-    for _ in range(max_len):
-        nxt: list[tuple[tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix]] = []
-        for x, left, right in level:
-            for symbol, step in ((1, step1), (2, step2)):
-                child_left = matsem.mat_mul(left, step)
-                if child_left.rows:
-                    nxt.append((x + (symbol,), child_left, matsem.mat_mul(right, step)))
-        level = nxt
-        yield level
-
-
-# ---------------------------------------------------------------------------
-# Matrix-level solvers
-# ---------------------------------------------------------------------------
-
-
-def solve_one_unknown(
-    a: matsem.SparseMatrix,
-    b: matsem.SparseMatrix,
-    step1: matsem.SparseMatrix,
-    step2: matsem.SparseMatrix,
-    max_len: int,
-) -> SolveResult:
-    """First x in shortlex order with a·X(x) == b·X(x) nonzero, up to max_len."""
-    if max_len < 0:
-        raise ValueError("maximum length must be nonnegative")
-    for level in _paired_live_nodes(a, b, step1, step2, max_len):
-        for x, left, right in level:
-            if left == right:
-                _check_refold(a, step1, step2, x, left)
-                _check_refold(b, step1, step2, x, right)
-                return SolveResult(
-                    outcome="found",
-                    level="matrix",
-                    max_len=max_len,
-                    witness=x,
-                    method="product",
-                    detail="re-verified by an independent full product",
-                )
-    return SolveResult(
-        outcome="exhausted",
-        level="matrix",
-        max_len=max_len,
-        method="product",
-        detail=f"no witness among generator words of length <= {max_len}",
-    )
-
-
-def solve_two_unknowns(
-    a: matsem.SparseMatrix,
-    b: matsem.SparseMatrix,
-    step1: matsem.SparseMatrix,
-    step2: matsem.SparseMatrix,
-    max_len: int,
-) -> SolveResult:
-    """First pair (x, y) ordered by (|x|+|y|, x, y) with a·X(x) == b·X(y) nonzero.
-
-    Both words range over lengths 0..max_len.  Words whose side product is
-    zero are skipped: a zero left side fails nonannihilation outright, and a
-    zero right side can only match a zero left side.
+    Each side's shortlex tree of nonzero products is grown one level at a
+    time, only as deep as a search asks, and kept, so the solvers run on one
+    point share one walk of each tree.
     """
-    if max_len < 0:
-        raise ValueError("maximum length must be nonnegative")
-    for x, y, left, right in _pair_candidates(a, b, step1, step2, max_len):
-        if left == right:
-            _check_refold(a, step1, step2, x, left)
-            _check_refold(b, step1, step2, y, right)
-            return SolveResult(
-                outcome="found",
-                level="matrix",
-                max_len=max_len,
-                pair=(x, y),
-                method="product",
-                detail="re-verified by independent full products",
-            )
-    return SolveResult(
-        outcome="exhausted",
-        level="matrix",
-        max_len=max_len,
-        method="product",
-        detail=f"no pair with both words of length <= {max_len}",
+
+    enc: Encoder
+    n: int
+    s: int
+    max_len: int
+    a: matsem.SparseMatrix
+    b: matsem.SparseMatrix
+    m1: matsem.SparseMatrix
+    m2: matsem.SparseMatrix
+    _trees: tuple[list[list[Node]], list[list[Node]]] = field(
+        init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        if self.max_len < 0:
+            raise ValueError("maximum length must be nonnegative")
+        roots = ([[((), side)] if side.rows else []] for side in (self.a, self.b))
+        object.__setattr__(self, "_trees", tuple(roots))
 
-# ---------------------------------------------------------------------------
-# Morphism-level solvers
-# ---------------------------------------------------------------------------
+    def _level(self, side: int, depth: int) -> list[Node]:
+        """The nodes (x, start·X(x)) of one side with |x| == depth and a
+        nonzero product, in shortlex order.  Zero products are pruned with
+        their subtrees: extensions of the zero matrix stay zero."""
+        tree = self._trees[side]
+        while len(tree) <= depth:
+            tree.append([
+                (x + (symbol,), child)
+                for x, acc in tree[-1]
+                for symbol, step in ((1, self.m1), (2, self.m2))
+                if (child := matsem.mat_mul(acc, step)).rows
+            ])
+        return tree[depth]
+
+    def candidates(self, two: bool) -> Iterator[Candidate]:
+        """Every (x, y, a·X(x), b·X(y)) with both products nonzero.
+
+        One unknown (``y == x``): the words live on both sides, in shortlex
+        order.  A witness needs ``a·X(x) == b·X(x)`` nonzero, so a word whose
+        right product is zero can never be one, and neither can its
+        extensions.  Two unknowns: every pair with both words of length
+        <= max_len, ordered by (|x|+|y|, x, y); a zero left side fails
+        nonannihilation outright, and a zero right side can only match it.
+        """
+        if two:
+            lefts, rights = (
+                [node for depth in range(self.max_len + 1) for node in self._level(side, depth)]
+                for side in (0, 1)
+            )
+            yield from sorted(
+                ((x, y, left, right) for x, left in lefts for y, right in rights),
+                key=lambda c: (len(c[0]) + len(c[1]), c[0], c[1]),
+            )
+            return
+        for depth in range(self.max_len + 1):
+            lefts = self._level(0, depth)
+            rights = dict(self._level(1, depth)) if lefts else {}
+            live = [(x, x, left, rights[x]) for x, left in lefts if x in rights]
+            if not live:
+                return
+            yield from live
 
 
-Sides = tuple[
-    matsem.SparseMatrix, matsem.SparseMatrix, matsem.SparseMatrix, matsem.SparseMatrix
-]
-
-# The sides (a, b, m1, m2) of the point that equivalence_report is working
-# on.  Its solver calls go through the public functions, whose signatures do
-# not carry the sides, and pick them up here instead of rebuilding them.
-_point_sides: ContextVar[tuple[Encoder, int, int, Sides] | None] = ContextVar(
-    "diomorph_point_sides", default=None
-)
-
-
-def _equation_sides(enc: Encoder, n: int, s: int) -> Sides:
-    held = _point_sides.get()
-    if held is not None and held[0] is enc and held[1:3] == (n, s):
-        return held[3]
+def point(enc: Encoder, n: int, s: int, max_len: int) -> Point:
+    """The equation at (n, s), searched up to words of length ``max_len``."""
     m1, m2 = matrices(enc)
     a = matsem.p_side_matrix(m1, m2, n, s)
     b = matsem.q_side_matrix(m1, m2, n, s)
-    return a, b, m1, m2
+    return Point(enc, n, s, max_len, a, b, m1, m2)
 
 
-@contextmanager
-def _sides_of_point(enc: Encoder, n: int, s: int) -> Iterator[Sides]:
-    """Compute one point's sides once; solvers called inside the block reuse them."""
-    sides = _equation_sides(enc, n, s)
-    token = _point_sides.set((enc, n, s, sides))
-    try:
-        yield sides
-    finally:
-        _point_sides.reset(token)
+# (method, detail) of a witness, () for no witness, None for undecided
+Verdict = tuple[str, str] | tuple[()] | None
+
+
+def _search(
+    pt: Point,
+    two: bool,
+    level: str,
+    decide: Callable[[tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix], Verdict],
+    undecided_note: str = "",
+) -> SolveResult:
+    """The one search loop: the first candidate whose products are equal and
+    that ``decide(x, left, right)`` accepts, re-verified by a fresh fold of
+    each side; otherwise honest exhaustion, counting undecided candidates."""
+    undecided = 0
+    for x, y, left, right in pt.candidates(two):
+        if left != right:
+            continue
+        verdict = decide(x, left, right)
+        if verdict is None:
+            undecided += 1
+        elif verdict:
+            _check_refold(pt.a, pt.m1, pt.m2, x, left)
+            _check_refold(pt.b, pt.m1, pt.m2, y, right)
+            method, detail = verdict
+            witness, pair = (None, (x, y)) if two else (x, None)
+            return SolveResult("found", level, pt.max_len, witness, pair, method, detail)
+    if two:
+        detail = f"no pair with both words of length <= {pt.max_len}"
+    else:
+        detail = f"no witness among generator words of length <= {pt.max_len}"
+    if undecided:
+        detail += f"; {undecided} candidates {undecided_note}"
+    method = "product" if level == "matrix" else "parikh-bridge"
+    return SolveResult("exhausted", level, pt.max_len, method=method, detail=detail)
+
+
+# ---------------------------------------------------------------------------
+# The four solvers: one decide predicate each
+# ---------------------------------------------------------------------------
+
+
+def solve_one_unknown(pt: Point) -> SolveResult:
+    """First x in shortlex order with a·X(x) == b·X(x) nonzero, up to the point's bound."""
+    verdict = ("product", "re-verified by an independent full product")
+    return _search(pt, False, "matrix", lambda *_: verdict)
+
+
+def solve_two_unknowns(pt: Point) -> SolveResult:
+    """First pair (x, y) ordered by (|x|+|y|, x, y) with a·X(x) == b·X(y)
+    nonzero, both words of length <= the point's bound."""
+    verdict = ("product", "re-verified by independent full products")
+    return _search(pt, True, "matrix", lambda *_: verdict)
+
+
+_BRIDGE = "counts equal; row supports confine both sides to powers of the final letter"
 
 
 def _halves_containment(
@@ -378,9 +370,7 @@ def _halves_containment(
     return True
 
 
-def _word_level_equal(
-    enc: Encoder, n: int, s: int, x: Sequence[int], cap: int | None
-) -> bool | None:
+def _word_level_equal(pt: Point, x: Sequence[int], cap: int | None) -> bool | None:
     """Directly compare the four control images of both sides, if affordable.
 
     Both side words end in the same suffix ``argument_word((n, s)) + x``;
@@ -395,10 +385,11 @@ def _word_level_equal(
     one that eight separate applications give.
 
     Returns None when materialization exceeds the expansion cap."""
-    argument = argument_word((n, s))
+    enc = pt.enc
+    argument = argument_word((pt.n, pt.s))
     suffix = argument + tuple(x)
-    p_prefix = p_side_word(n, s)[: -len(argument)]
-    q_prefix = q_side_word(n, s)[: -len(argument)]
+    p_prefix = p_side_word(pt.n, pt.s)[: -len(argument)]
+    q_prefix = q_side_word(pt.n, pt.s)[: -len(argument)]
     images: dict[tuple[tuple[str, int], ...], Word] = {}
 
     def image(letter: str, prefix: tuple[int, ...]) -> Word:
@@ -418,101 +409,33 @@ def _word_level_equal(
         return None
 
 
-def solve_one_unknown_words(
-    enc: Encoder, n: int, s: int, max_len: int, cap: int | None = None
-) -> SolveResult:
+def solve_one_unknown_words(pt: Point, cap: int | None = None) -> SolveResult:
     """Morphism-level search: first x making the two side morphisms equal
     and nonannihilating as maps on words."""
-    if max_len < 0:
-        raise ValueError("maximum length must be nonnegative")
-    a, b, m1, m2 = _equation_sides(enc, n, s)
-    undecided = 0
-    for level in _paired_live_nodes(a, b, m1, m2, max_len):
-        for x, left, right in level:
-            if left != right:
-                continue
-            if _halves_containment(enc, left, right):
-                method = "parikh-bridge"
-                confirmed = _word_level_equal(enc, n, s, x, cap)
-                if confirmed is False:
-                    raise AssertionError(
-                        "support analysis and word comparison disagree"
-                    )
-                if confirmed:
-                    method = "parikh-bridge+word"
-                _check_refold(a, m1, m2, x, left)
-                return SolveResult(
-                    outcome="found",
-                    level="morphism",
-                    max_len=max_len,
-                    witness=x,
-                    method=method,
-                    detail=(
-                        "counts equal; row supports confine both sides to "
-                        "powers of the final letter"
-                    ),
-                )
-            # supports unexpectedly escaped the tagged halves: only a direct
-            # word comparison can decide this candidate
-            direct = _word_level_equal(enc, n, s, x, cap)
-            if direct:
-                return SolveResult(
-                    outcome="found",
-                    level="morphism",
-                    max_len=max_len,
-                    witness=x,
-                    method="word",
-                    detail="decided by materializing the control images",
-                )
-            if direct is None:
-                undecided += 1
-    detail = f"no witness among generator words of length <= {max_len}"
-    if undecided:
-        detail += f"; {undecided} candidates undecidable within the expansion cap"
-    return SolveResult(
-        outcome="exhausted",
-        level="morphism",
-        max_len=max_len,
-        method="parikh-bridge",
-        detail=detail,
-    )
+
+    def decide(x, left, right) -> Verdict:
+        if _halves_containment(pt.enc, left, right):
+            confirmed = _word_level_equal(pt, x, cap)
+            if confirmed is False:
+                raise AssertionError("support analysis and word comparison disagree")
+            return ("parikh-bridge+word" if confirmed else "parikh-bridge", _BRIDGE)
+        # supports unexpectedly escaped the tagged halves: only a direct word
+        # comparison can decide this candidate
+        direct = _word_level_equal(pt, x, cap)
+        if direct is None:
+            return None
+        return ("word", "decided by materializing the control images") if direct else ()
+
+    return _search(pt, False, "morphism", decide, "undecidable within the expansion cap")
 
 
-def solve_two_unknowns_words(
-    enc: Encoder, n: int, s: int, max_len: int, cap: int | None = None
-) -> SolveResult:
+def solve_two_unknowns_words(pt: Point, cap: int | None = None) -> SolveResult:
     """Morphism-level pair search ordered by (|x|+|y|, x, y)."""
-    if max_len < 0:
-        raise ValueError("maximum length must be nonnegative")
-    a, b, m1, m2 = _equation_sides(enc, n, s)
-    undecided = 0
-    for x, y, left, right in _pair_candidates(a, b, m1, m2, max_len):
-        if left != right:
-            continue
-        if _halves_containment(enc, left, right):
-            _check_refold(a, m1, m2, x, left)
-            return SolveResult(
-                outcome="found",
-                level="morphism",
-                max_len=max_len,
-                pair=(x, y),
-                method="parikh-bridge",
-                detail=(
-                    "counts equal; row supports confine both sides to powers "
-                    "of the final letter"
-                ),
-            )
-        undecided += 1
-    detail = f"no pair with both words of length <= {max_len}"
-    if undecided:
-        detail += f"; {undecided} candidates undecidable from counts alone"
-    return SolveResult(
-        outcome="exhausted",
-        level="morphism",
-        max_len=max_len,
-        method="parikh-bridge",
-        detail=detail,
-    )
+
+    def decide(x, left, right) -> Verdict:
+        return ("parikh-bridge", _BRIDGE) if _halves_containment(pt.enc, left, right) else None
+
+    return _search(pt, True, "morphism", decide, "undecidable from counts alone")
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +474,6 @@ class EquivalenceReport:
         return all(row.agree for row in self.rows)
 
     def to_doc(self) -> dict:
-        def solver_doc(r: SolveResult) -> dict:
-            return {
-                "outcome": r.outcome,
-                "level": r.level,
-                "method": r.method,
-                "witness": list(r.witness) if r.witness is not None else None,
-                "pair": [list(r.pair[0]), list(r.pair[1])] if r.pair else None,
-                "max_len": r.max_len,
-                "detail": r.detail,
-            }
-
         return {
             "p": str(self.p),
             "q": str(self.q),
@@ -575,10 +487,10 @@ class EquivalenceReport:
                     "oracle_witness": list(row.oracle_witness)
                     if row.oracle_witness is not None
                     else None,
-                    "matrix_one": solver_doc(row.matrix_one),
-                    "matrix_two": solver_doc(row.matrix_two),
-                    "morphism_one": solver_doc(row.morphism_one),
-                    "morphism_two": solver_doc(row.morphism_two),
+                    "matrix_one": row.matrix_one.to_doc(),
+                    "matrix_two": row.matrix_two.to_doc(),
+                    "morphism_one": row.morphism_one.to_doc(),
+                    "morphism_two": row.morphism_two.to_doc(),
                     "agree": row.agree,
                     "caveats": list(row.caveats),
                 }
@@ -619,26 +531,17 @@ class EquivalenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _witness_checks(
-    enc: Encoder, n: int, s: int, result: SolveResult
-) -> tuple[bool, tuple[str, ...]]:
-    """Validate a found witness: parse it back to a tuple, re-evaluate."""
-    caveats: list[str] = []
-    words_to_check: list[tuple[int, ...]] = []
-    if result.witness is not None:
-        words_to_check.append(result.witness)
-    if result.pair is not None:
-        words_to_check.extend(result.pair)
-    for w in words_to_check:
+def _witness_fault(enc: Encoder, n: int, s: int, result: SolveResult) -> str | None:
+    """Validate a found witness: parse it back to a tuple, re-evaluate.
+    Returns the caveat of the first word that fails, or None."""
+    for w in result.words:
         try:
             full = extract_argument_tuple(enc.dimension, n, s, w)
         except ValueError as exc:
-            caveats.append(f"witness {w} does not parse as an argument chain: {exc}")
-            return False, tuple(caveats)
+            return f"witness {w} does not parse as an argument chain: {exc}"
         if poly.evaluate(enc.p, full) != poly.evaluate(enc.q, full):
-            caveats.append(f"recovered tuple {full} does not satisfy the equation")
-            return False, tuple(caveats)
-    return True, tuple(caveats)
+            return f"recovered tuple {full} does not satisfy the equation"
+    return None
 
 
 def equivalence_report(
@@ -666,19 +569,12 @@ def equivalence_report(
     rows: list[PointVerdict] = []
     for n, s in points:
         oracle_witness = diophantine_oracle(p, q, n, s, oracle_bound)
-        with _sides_of_point(enc, n, s) as (a, b, m1, m2):
-            matrix_one = solve_one_unknown(a, b, m1, m2, solver_bound)
-            matrix_two = solve_two_unknowns(a, b, m1, m2, solver_bound)
-            morphism_one = solve_one_unknown_words(enc, n, s, solver_bound, cap=cap)
-            morphism_two = solve_two_unknowns_words(enc, n, s, solver_bound, cap=cap)
-
+        pt = point(enc, n, s, solver_bound)
+        results = (solve_one_unknown(pt), solve_two_unknowns(pt),
+                   solve_one_unknown_words(pt, cap=cap), solve_two_unknowns_words(pt, cap=cap))
+        matrix_one, matrix_two, morphism_one, morphism_two = results
         caveats: list[str] = []
-        agree = (
-            matrix_one.found
-            == matrix_two.found
-            == morphism_one.found
-            == morphism_two.found
-        )
+        agree = len({r.found for r in results}) == 1
         solver_found = matrix_one.found
         if agree and solver_found != (oracle_witness is not None):
             # a genuine verdict difference, possibly bound-induced: annotate
@@ -692,11 +588,7 @@ def equivalence_report(
                     )
             else:
                 for r in (matrix_one, morphism_one, matrix_two, morphism_two):
-                    if not r.found:
-                        continue
-                    for w in ([r.witness] if r.witness else []) + (
-                        list(r.pair) if r.pair else []
-                    ):
+                    for w in r.words:
                         try:
                             full = extract_argument_tuple(enc.dimension, n, s, w)
                         except ValueError:
@@ -707,11 +599,11 @@ def equivalence_report(
                                 f"oracle box bound {oracle_bound}"
                             )
         if solver_found and agree:
-            for result in (matrix_one, matrix_two, morphism_one, morphism_two):
-                ok, extra = _witness_checks(enc, n, s, result)
-                caveats.extend(extra)
-                if not ok:
+            for result in results:
+                fault = _witness_fault(enc, n, s, result)
+                if fault is not None:
                     agree = False
+                    caveats.append(fault)
             # matrix and morphism searches must recover the same first witness
             if matrix_one.witness != morphism_one.witness:
                 agree = False
@@ -719,28 +611,9 @@ def equivalence_report(
             if matrix_two.pair != morphism_two.pair:
                 agree = False
                 caveats.append("matrix and morphism searches disagree on the pair")
-        rows.append(
-            PointVerdict(
-                n=n,
-                s=s,
-                oracle_witness=oracle_witness,
-                matrix_one=matrix_one,
-                matrix_two=matrix_two,
-                morphism_one=morphism_one,
-                morphism_two=morphism_two,
-                agree=agree,
-                caveats=tuple(caveats),
-            )
-        )
+        rows.append(PointVerdict(n, s, oracle_witness, *results, agree, tuple(caveats)))
     notes = (
         "solver exhaustion means no witness within the word bound, "
         "not unsolvability; oracle misses mean no tuple within the box",
     )
-    return EquivalenceReport(
-        p=p,
-        q=q,
-        oracle_bound=oracle_bound,
-        solver_bound=solver_bound,
-        rows=tuple(rows),
-        notes=notes,
-    )
+    return EquivalenceReport(p, q, oracle_bound, solver_bound, tuple(rows), notes)

@@ -168,6 +168,39 @@ def test_oracle_arity_mismatch_is_bad_input(toy_files, squares_files, capsys):
     capsys.readouterr()
 
 
+# each case corrupts the polynomial document of p = x2 (arity 3, one monomial)
+BAD_POLYNOMIALS = {
+    "arity must be at least 1, got 0": lambda doc: doc.update(arity=0),
+    "arity must be at least 1, got -1": lambda doc: doc.update(arity=-1),
+    "arity must be an integer, got 2.5": lambda doc: doc.update(arity=2.5),
+    "exponent vector (0, -1, 0) has a negative exponent":
+        lambda doc: doc["monomials"][0].update(exponents=[0, -1, 0]),
+    "coeff must be an integer, got 1.5": lambda doc: doc["monomials"][0].update(coeff=1.5),
+    "exponent must be an integer, got 1.9":
+        lambda doc: doc["monomials"][0].update(exponents=[0, 1.9, 0]),
+    "exponent must be an integer, got True":
+        lambda doc: doc["monomials"][0].update(exponents=[0, True, 0]),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+@pytest.mark.parametrize("message", sorted(BAD_POLYNOMIALS))
+def test_oracle_rejects_bad_polynomial_documents(message, flags, run_python):
+    # integer fields and polynomial checks raise typed errors, so `python -O`
+    # must not turn a rejected document into an answer
+    doc = interchange.polynomial_to_doc(poly.variable(2, 3))
+    BAD_POLYNOMIALS[message](doc)
+    q = interchange.dumps(interchange.polynomial_to_doc(poly.variable(3, 3)))
+    run = run_python(
+        *flags, "-m", "diomorph.cli", "oracle", "--p", json.dumps(doc), "--q", q,
+        "-n", "1", "-s", "1", "-B", "2",
+        capture_output=True, text=True,
+    )
+    assert run.returncode == cli.EXIT_BAD_INPUT
+    assert run.stdout == ""
+    assert run.stderr == f"error: {message}\n"
+
+
 # -------------------------------------------------------------------- solve
 
 

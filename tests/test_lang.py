@@ -30,6 +30,27 @@ def test_alphabet_rejects_bad_names():
         lang.flat_alphabet(["dup", "dup"])
 
 
+# every code point with str.isspace(), so that draws hit Unicode whitespace often
+UNICODE_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(st.characters() | st.sampled_from(UNICODE_WHITESPACE), min_size=1))
+def test_letter_name_check_matches_a_per_character_scan(name):
+    # the check splits the name on whitespace; a scan of every character
+    # with str.isspace is the reference
+    try:
+        lang._check_letter_name(name)
+        rejected = False
+    except ValueError:
+        rejected = True
+    assert rejected == (any(ch.isspace() for ch in name) or "^" in name)
+
+
 def test_equal_but_distinct_alphabets_compare_and_hash_equal():
     a = lang.leveled_alphabet([["a1", "b1"], ["e"]])
     b = lang.leveled_alphabet([["a1", "b1"], ["e"]])

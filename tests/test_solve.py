@@ -1,6 +1,7 @@
 """Tests for the bounded solvers and the arithmetic oracle."""
 
 import hashlib
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,6 @@ from diomorph.solve import (
     solve_two_unknowns_words,
     witness_from_tuple,
 )
-
-
-def _sides(enc, n, s):
-    m1, m2 = encode.matrices(enc)
-    a = matsem.p_side_matrix(m1, m2, n, s)
-    b = matsem.q_side_matrix(m1, m2, n, s)
-    return a, b, m1, m2
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +126,25 @@ def test_extract_inverts_witness_words(n, s, rest):
 def test_one_unknown_empty_witness_on_two_variables(toy_encoder):
     # with two argument slots the argument chain is already complete: the
     # only possible witness is the empty word, valid exactly when p = q
-    a, b, m1, m2 = _sides(toy_encoder, 2, 2)
-    result = solve_one_unknown(a, b, m1, m2, 4)
+    result = solve_one_unknown(solve.point(toy_encoder, 2, 2, 4))
     assert result.found and result.witness == ()
 
-    a, b, m1, m2 = _sides(toy_encoder, 2, 3)
-    result = solve_one_unknown(a, b, m1, m2, 4)
+    result = solve_one_unknown(solve.point(toy_encoder, 2, 3, 4))
     assert result.outcome == "exhausted" and result.witness is None
 
 
 def test_one_unknown_squares_frozen(squares_encoder):
-    a, b, m1, m2 = _sides(squares_encoder, 1, 4)
-    result = solve_one_unknown(a, b, m1, m2, 6)
+    result = solve_one_unknown(solve.point(squares_encoder, 1, 4, 6))
     assert result.found and result.witness == (1, 1, 2)
 
-    a, b, m1, m2 = _sides(squares_encoder, 1, 3)
-    result = solve_one_unknown(a, b, m1, m2, 8)
+    result = solve_one_unknown(solve.point(squares_encoder, 1, 3, 8))
     assert result.outcome == "exhausted"
 
 
 def test_one_unknown_shortlex_returns_least(trivial_encoder):
     # p = q = x3: every argument works, so every word (1,)*j + (2,) is a
     # solution; shortlex must return j = 1
-    a, b, m1, m2 = _sides(trivial_encoder, 1, 1)
-    result = solve_one_unknown(a, b, m1, m2, 7)
+    result = solve_one_unknown(solve.point(trivial_encoder, 1, 1, 7))
     assert result.found and result.witness == (1, 2)
 
 
@@ -163,28 +152,25 @@ def test_zero_side_exhausts_immediately(toy_encoder):
     dim = len(toy_encoder.alphabet.letters)
     z = matsem.zeros(dim)
     m1, m2 = encode.matrices(toy_encoder)
-    result = solve_one_unknown(z, z, m1, m2, 3)
+    result = solve_one_unknown(solve.Point(toy_encoder, 1, 1, 3, z, z, m1, m2))
     assert result.outcome == "exhausted"  # 0 = 0 is annihilating, never a witness
 
 
 def test_two_unknowns_matches_one_unknown(squares_encoder):
-    a, b, m1, m2 = _sides(squares_encoder, 1, 4)
-    result = solve_two_unknowns(a, b, m1, m2, 6)
+    result = solve_two_unknowns(solve.point(squares_encoder, 1, 4, 6))
     assert result.found and result.pair == ((1, 1, 2), (1, 1, 2))
 
 
 def test_two_unknowns_exhausts(squares_encoder):
-    a, b, m1, m2 = _sides(squares_encoder, 1, 3)
-    result = solve_two_unknowns(a, b, m1, m2, 6)
+    result = solve_two_unknowns(solve.point(squares_encoder, 1, 3, 6))
     assert result.outcome == "exhausted"
 
 
 def test_negative_bound_rejected(toy_encoder):
-    a, b, m1, m2 = _sides(toy_encoder, 1, 1)
     with pytest.raises(ValueError):
-        solve_one_unknown(a, b, m1, m2, -1)
+        solve_one_unknown(solve.point(toy_encoder, 1, 1, -1))
     with pytest.raises(ValueError):
-        solve_two_unknowns(a, b, m1, m2, -1)
+        solve_two_unknowns(solve.point(toy_encoder, 1, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +179,32 @@ def test_negative_bound_rejected(toy_encoder):
 
 
 def test_morphism_level_agrees_with_matrix_level(squares_encoder):
-    result = solve_one_unknown_words(squares_encoder, 1, 4, 6)
+    result = solve_one_unknown_words(solve.point(squares_encoder, 1, 4, 6))
     assert result.found and result.witness == (1, 1, 2)
     assert result.level == "morphism"
     assert result.method.startswith("parikh-bridge")
 
-    result = solve_one_unknown_words(squares_encoder, 1, 3, 6)
+    result = solve_one_unknown_words(solve.point(squares_encoder, 1, 3, 6))
     assert result.outcome == "exhausted"
 
 
 def test_morphism_level_word_confirmation_on_small_instance(toy_encoder):
     # toy words are tiny, so the bridge verdict is additionally confirmed by
     # materializing the control images
-    result = solve_one_unknown_words(toy_encoder, 2, 2, 3)
+    result = solve_one_unknown_words(solve.point(toy_encoder, 2, 2, 3))
     assert result.found and result.witness == ()
     assert result.method == "parikh-bridge+word"
 
 
 def test_morphism_two_unknowns(squares_encoder):
-    result = solve_two_unknowns_words(squares_encoder, 1, 4, 6)
+    result = solve_two_unknowns_words(solve.point(squares_encoder, 1, 4, 6))
     assert result.found and result.pair == ((1, 1, 2), (1, 1, 2))
 
 
 def test_morphism_level_trivial_and_empty(trivial_encoder, empty_encoder):
-    found = solve_one_unknown_words(trivial_encoder, 1, 3, 6)
+    found = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6))
     assert found.found and found.witness == (1, 2)
-    missing = solve_one_unknown_words(empty_encoder, 1, 3, 6)
+    missing = solve_one_unknown_words(solve.point(empty_encoder, 1, 3, 6))
     assert missing.outcome == "exhausted"
 
 
@@ -226,13 +212,95 @@ def test_word_confirmation_cap_boundary(trivial_encoder):
     # at (1, 3) the two control trajectories need more than 300k runs but fit
     # the default cap: the bridge verdict stands either way, and only the
     # default cap adds the word-level confirmation
-    capped = solve_one_unknown_words(trivial_encoder, 1, 3, 6, cap=300_000)
-    full = solve_one_unknown_words(trivial_encoder, 1, 3, 6)
+    capped = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6), cap=300_000)
+    full = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6))
     assert capped.method == "parikh-bridge"
     assert full.method == "parikh-bridge+word"
     assert capped.witness == full.witness == (1, 2)
     first, second = encode.matrices(trivial_encoder), encode.matrices(trivial_encoder)
     assert first[0] is second[0] and first[1] is second[1]
+
+
+# ---------------------------------------------------------------------------
+# The shared search
+# ---------------------------------------------------------------------------
+
+
+def _fold(start, m1, m2, x):
+    """start·X(x) as nonzero rows, folded row by row with vec_mat."""
+    rows = {}
+    for i, row in start.rows.items():
+        for symbol in x:
+            row = matsem.vec_mat(row, m1 if symbol == 1 else m2)
+        if row:
+            rows[i] = row
+    return rows
+
+
+def _brute_force(pt, two):
+    """The first word (or pair) in the solver's order with equal, nonzero
+    products, from every word up to the bound; None when there is none."""
+    words = [w for k in range(pt.max_len + 1) for w in iter_product((1, 2), repeat=k)]
+    left = {w: _fold(pt.a, pt.m1, pt.m2, w) for w in words}
+    right = {w: _fold(pt.b, pt.m1, pt.m2, w) for w in words}
+    if two:
+        pairs = sorted(((x, y) for x in words for y in words),
+                       key=lambda xy: (len(xy[0]) + len(xy[1]), xy))
+        return next(((x, y) for x, y in pairs if left[x] and left[x] == right[y]), None)
+    return next((x for x in words if left[x] and left[x] == right[x]), None)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    which=st.sampled_from(["squares", "toy", "zero sides"]),
+    n=st.integers(min_value=1, max_value=2),
+    s=st.integers(min_value=1, max_value=5),
+    max_len=st.integers(min_value=0, max_value=6),
+)
+def test_solvers_match_a_brute_force_search(
+    toy_encoder, squares_encoder, which, n, s, max_len
+):
+    enc = squares_encoder if which == "squares" else toy_encoder
+    pt = solve.point(enc, n, s, max_len)
+    if which == "zero sides":  # as in test_zero_side_exhausts_immediately
+        z = matsem.zeros(pt.a.dimension)
+        pt = solve.Point(enc, n, s, max_len, z, z, pt.m1, pt.m2)
+    witness = _brute_force(pt, two=False)
+    pair = _brute_force(pt, two=True)
+    for result in (solve_one_unknown(pt), solve_one_unknown_words(pt)):
+        assert (result.outcome, result.witness) == (
+            ("exhausted", None) if witness is None else ("found", witness))
+    for result in (solve_two_unknowns(pt), solve_two_unknowns_words(pt)):
+        assert (result.outcome, result.pair) == (
+            ("exhausted", None) if pair is None else ("found", pair))
+
+
+def test_candidates_come_in_the_solvers_order(toy_encoder):
+    # identity sides and steps keep every product nonzero, so every word and
+    # every pair up to the bound is a candidate
+    one = matsem.identity(2)
+    pt = solve.Point(toy_encoder, 1, 1, 3, one, one, one, one)
+    words = [w for k in range(4) for w in iter_product((1, 2), repeat=k)]
+    assert [(x, y) for x, y, _, _ in pt.candidates(False)] == [(w, w) for w in words]
+    assert [(x, y) for x, y, _, _ in pt.candidates(True)] == sorted(
+        ((x, y) for x in words for y in words), key=lambda xy: (len(xy[0]) + len(xy[1]), xy))
+
+
+@pytest.mark.parametrize("n, s", [(1, 3), (1, 4), (2, 2)])
+def test_four_solvers_on_one_point_walk_each_tree_once(squares_encoder, monkeypatch, n, s):
+    calls = []
+    real = matsem.mat_mul
+    monkeypatch.setattr(matsem, "mat_mul", lambda *args: calls.append(1) or real(*args))
+    shared = solve.point(squares_encoder, n, s, 6)
+    calls.clear()
+    for solver in (solve_one_unknown, solve_two_unknowns,
+                   solve_one_unknown_words, solve_two_unknowns_words):
+        solver(shared)
+    four = len(calls)
+    fresh = solve.point(squares_encoder, n, s, 6)
+    calls.clear()
+    solve_two_unknowns(fresh)
+    assert four == len(calls) > 0
 
 
 def test_refold_check_survives_optimize_flag(run_python):
