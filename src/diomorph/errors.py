@@ -46,9 +46,13 @@ class ExpansionCapExceeded(RuntimeError):
 
 
 class AlphabetBudgetExceeded(RuntimeError):
-    """A construction would allocate more letters than the configured budget."""
+    """A construction would allocate more letters than the configured budget.
 
-    def __init__(self, needed: int, budget: int, context: str = ""):
+    ``needed`` is the letter count, or a text bound on it where the count is
+    too large to compute.
+    """
+
+    def __init__(self, needed: int | str, budget: int, context: str = ""):
         self.needed = needed
         self.budget = budget
         self.context = context

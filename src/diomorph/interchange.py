@@ -18,8 +18,8 @@ import re
 from typing import Any
 
 from . import poly
-from .encode import CONTROL_LETTERS, FINAL_LETTER, Encoder, tupled
-from .errors import InvalidDocument, InvalidEncoder
+from .encode import CONTROL_LETTERS, FINAL_LETTER, Encoder, build_encoder, tupled
+from .errors import AlphabetBudgetExceeded, InvalidDocument, InvalidEncoder
 from .lang import LeveledAlphabet, Word, parse_word, text
 from .matsem import SparseMatrix
 from .morph import Morphism, endomorphism
@@ -113,31 +113,41 @@ def encoder_to_doc(enc: Encoder) -> dict:
 
 
 def encoder_from_doc(doc: dict) -> Encoder:
+    """Recompile the encoder that a document describes, and check the document against it.
+
+    The encoder is fixed by ``p``, ``q`` and the dimension, so the document's
+    alphabet, image tables and words are compared with a rebuild instead of
+    being parsed; any difference raises :class:`InvalidEncoder` naming the
+    field.  The document's own letter count is the rebuild's alphabet budget.
+    """
     if doc.get("format") != "diomorph-encoder":
         raise ValueError("not an encoder document (missing format marker)")
-    alphabet = alphabet_from_doc(doc["alphabet"])
-    enc = Encoder(
-        alphabet=alphabet,
-        g1=morphism_from_doc(doc["g1"], alphabet),
-        g2=morphism_from_doc(doc["g2"], alphabet),
-        u=parse_word(alphabet, doc["u"]),
-        v=parse_word(alphabet, doc["v"]),
-        dimension=read_int(doc["dimension"], "dimension"),
-        p=polynomial_from_doc(doc["p"]),
-        q=polynomial_from_doc(doc["q"]),
-        p_tupled=polynomial_from_doc(doc["p_tupled"]),
-        q_tupled=polynomial_from_doc(doc["q_tupled"]),
-    )
-    t, abc = enc.dimension, enc.alphabet
-    if not t == enc.p.arity == enc.q.arity:
-        raise InvalidEncoder(f"dimension {t} differs from the arities of p and q ({enc.p.arity}, {enc.q.arity})")
+    version = read_int(doc["version"], "version")
+    if version != 1:
+        raise InvalidEncoder(f"encoder document version must be 1, got {version}")
+    abc = alphabet_from_doc(doc["alphabet"])
+    t = read_int(doc["dimension"], "dimension")
+    p, q = polynomial_from_doc(doc["p"]), polynomial_from_doc(doc["q"])
+    p_tupled, q_tupled = polynomial_from_doc(doc["p_tupled"]), polynomial_from_doc(doc["q_tupled"])
+    if not t == p.arity == q.arity:
+        raise InvalidEncoder(f"dimension {t} differs from the arities of p and q ({p.arity}, {q.arity})")
     if abc.level_count != t + 1:
         raise InvalidEncoder(f"dimension {t} needs {t + 1} alphabet levels, found {abc.level_count}")
     if not all(z in abc for z in CONTROL_LETTERS + (FINAL_LETTER,)):
         raise InvalidEncoder("alphabet lacks one of the letters c0, c1, c2, c3, e")
     tupling = poly.injective_tupling(t + 1)
-    if (tupled(enc.p, tupling), tupled(enc.q, tupling)) != (enc.p_tupled, enc.q_tupled):
+    if (tupled(p, tupling), tupled(q, tupling)) != (p_tupled, q_tupled):
         raise InvalidEncoder("p_tupled and q_tupled must be the tuplings of p and q")
+    try:
+        enc = build_encoder(p, q, tupling, budget=len(abc))
+    except AlphabetBudgetExceeded as exc:
+        raise InvalidEncoder(f"recompiling p and q needs more than the {len(abc)} letters of the alphabet ({exc})")
+    matches = {"alphabet": enc.alphabet == abc, "g1": doc["g1"] == morphism_to_doc(enc.g1),
+               "g2": doc["g2"] == morphism_to_doc(enc.g2), "u": doc["u"] == text(enc.u),
+               "v": doc["v"] == text(enc.v)}
+    for name, same in matches.items():
+        if not same:
+            raise InvalidEncoder(f"{name} differs from the recompilation of p and q")
     return enc
 
 

@@ -227,8 +227,13 @@ def _monomial_sizes(exponents: Sequence[int], budget: int | None) -> list[int]:
         raise ValueError("need at least one exponent")
     if any(a < 0 for a in exponents):
         raise ValueError("exponents must be nonnegative")
-    sizes = [2 ** max(a, 1) for a in exponents]
     limit = alphabet_budget(budget)
+    if max(exponents) >= limit.bit_length():
+        # one level of 2**a letters alone is over the budget; 2**a is not computed,
+        # as for a huge exponent it would not fit in memory
+        raise AlphabetBudgetExceeded(f"at least 2^{max(exponents)}", limit,
+                                     f"monomial with exponents {tuple(exponents)}")
+    sizes = [2 ** max(a, 1) for a in exponents]
     if sum(sizes) + 1 > limit:
         raise AlphabetBudgetExceeded(sum(sizes) + 1, limit,
                                      f"monomial with exponents {tuple(exponents)}")

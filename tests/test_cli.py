@@ -1,8 +1,13 @@
 """End-to-end tests for the command-line driver."""
 
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diomorph import cli, encode, interchange, matsem, poly
 from diomorph.cli import main
@@ -321,6 +326,78 @@ def test_solve_rejects_bad_alphabet_documents(message, flags, tmp_path, toy_enco
     assert run.stderr == f"error: {message}\n"
 
 
+def _swap_first_level_letters(doc):
+    letters = doc["alphabet"]["letters"]
+    letters[4], letters[5] = letters[5], letters[4]  # A:1.1 and A:1.2, both in the first level
+
+
+# each case changes one field of the toy encoder's document, leaving the rest
+# consistent; loading recompiles the encoder from p and q and compares
+CORRUPTED_ENCODERS = {
+    "g1-image": ("g1", lambda doc: doc["g1"]["images"].update(e="e")),
+    "g2-c1-loops": ("g2", lambda doc: doc["g2"]["images"].update(c1="c1")),
+    "u": ("u", lambda doc: doc.update(u=doc["u"] + " e")),
+    "v": ("v", lambda doc: doc.update(v=doc["v"].replace("B:1.1 ", "", 1))),
+    "swapped-letters": ("alphabet", _swap_first_level_letters),
+    "version-2": (None, lambda doc: doc.update(version=2)),
+}
+RECOMPILE_COMMANDS = {
+    "solve": ["solve", "-n", "2", "-s", "2", "--max-len", "3", "--level", "both"],
+    "verify": ["verify", "--suite", "conditions"],
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+@pytest.mark.parametrize("command", sorted(RECOMPILE_COMMANDS))
+@pytest.mark.parametrize("case", sorted(CORRUPTED_ENCODERS))
+def test_loading_refuses_a_document_that_differs_from_its_recompilation(
+        case, command, flags, tmp_path, toy_encoder, run_python):
+    field, corrupt = CORRUPTED_ENCODERS[case]
+    doc = interchange.encoder_to_doc(toy_encoder)
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(interchange.dumps(doc))
+    run = run_python(
+        *flags, "-m", "diomorph.cli", *RECOMPILE_COMMANDS[command], "--encoder", str(path),
+        capture_output=True, text=True,
+    )
+    message = (f"{field} differs from the recompilation of p and q" if field
+               else "encoder document version must be 1, got 2")
+    assert run.returncode == cli.EXIT_BAD_INPUT
+    assert run.stdout == ""
+    assert run.stderr == f"error: {message}\n"
+
+
+def test_alphabet_budget_does_not_reach_loading(toy_encoder_file, monkeypatch, capsys):
+    # the rebuild's budget is the document's own letter count (227 here)
+    args = ["solve", "--encoder", toy_encoder_file, "-n", "2", "-s", "2",
+            "--max-len", "3", "--level", "both", "--format", "machine"]
+    assert main(args) == cli.EXIT_OK
+    expected = capsys.readouterr()
+    monkeypatch.setenv("DIOMORPH_ALPHABET_BUDGET", "10")
+    assert main(args) == cli.EXIT_OK
+    assert capsys.readouterr() == expected
+
+
+def test_loading_refuses_polynomials_that_need_more_letters(toy_encoder, tmp_path, capsys):
+    # a consistent larger pair (x1³ against x2 needs 357 letters) in the toy
+    # alphabet: the rebuild runs out of letters, which is bad input (2), not a
+    # budget the user set (3)
+    doc = interchange.encoder_to_doc(toy_encoder)
+    x1 = poly.variable(1, 2)
+    larger = encode.build_encoder(poly.mul(x1, poly.mul(x1, x1)), poly.variable(2, 2))
+    for name in ("p", "q", "p_tupled", "q_tupled"):
+        doc[name] = interchange.polynomial_to_doc(getattr(larger, name))
+    path = tmp_path / "larger.json"
+    path.write_text(interchange.dumps(doc))
+    args = ["solve", "--encoder", str(path), "-n", "1", "-s", "1", "--max-len", "1"]
+    assert main(args) == cli.EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: recompiling p and q needs more than the 227 letters")
+    assert err.count("\n") == 1
+
+
 def test_solve_on_squares_encoder_file(squares_files, capsys):
     _, _, enc_path = squares_files
     args = ["solve", "--encoder", enc_path, "-n", "1", "-s", "4",
@@ -350,15 +427,19 @@ def test_verify_functoriality_on_toy(toy_encoder_file, capsys):
 
 
 def test_verify_detects_corruption(toy_encoder_file, tmp_path, capsys):
+    # loading recompiles the encoder, so a broken control chain is refused
+    # before any suite runs; encode.condition_suite's own check is covered by
+    # tests/test_encode.py::test_condition_suite_detects_broken_control_chain
     doc = json.loads(open(toy_encoder_file).read())
     doc["g2"]["images"]["c1"] = "c1"  # break the control chain
     broken = tmp_path / "broken.json"
     broken.write_text(interchange.dumps(doc))
     args = ["verify", "--encoder", str(broken), "--suite", "conditions",
             "--format", "machine"]
-    assert main(args) == cli.EXIT_SUITE_FAILURE
-    out = json.loads(capsys.readouterr().out)
-    assert out["passed"] is False
+    assert main(args) == cli.EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: g2 differs from the recompilation of p and q\n"
 
 
 def test_verify_unknown_suite_is_usage_error(toy_encoder_file, capsys):
@@ -431,3 +512,84 @@ def test_report_human_format(squares_files, capsys):
     assert main(args) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "overall" in out and "(1,4)" in out
+
+
+# ------------------------------------------------------------------- fuzzing
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _numeric(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, str) and value.lstrip("-").isdigit())
+
+
+_TOY_P, _TOY_Q = (interchange.polynomial_to_doc(poly.variable(i, 2)) for i in (2, 1))
+_TOY_ENCODER = interchange.encoder_to_doc(encode.build_encoder(poly.variable(2, 2), poly.variable(1, 2)))
+_FUZZ_TARGETS = {"p": _TOY_P, "q": _TOY_Q, "encoder": _TOY_ENCODER}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw):
+    """One target document with one change: a key dropped, a value replaced by
+    random JSON, or a number negated, made a float or made huge."""
+    target = draw(st.sampled_from(sorted(_FUZZ_TARGETS)))
+    doc = json.loads(json.dumps(_FUZZ_TARGETS[target]))
+    paths = list(_paths(doc))
+    numeric = [path for path in paths if _numeric(_get(doc, path))]
+    op = draw(st.sampled_from(["drop", "json", "negate", "float", "huge"]))
+    path = draw(st.sampled_from(paths if op in ("drop", "json") else numeric))
+    parent, key = _get(doc, path[:-1]), path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "json":
+        parent[key] = draw(_JSON_VALUES)
+    else:
+        n = int(parent[key])
+        parent[key] = {"negate": -n, "float": float(n),
+                       "huge": draw(st.integers(min_value=2**63, max_value=10**40))}[op]
+    return target, doc
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_mutated())
+def test_mutated_documents_end_in_a_documented_exit(case):
+    # in-process and fast; the corruption cases above replay under -O.  Every
+    # ending is a documented exit code, never an exception, and a nonzero exit
+    # writes one line to stderr
+    target, doc = case
+    if target == "encoder":
+        argv = ["solve", "--encoder", json.dumps(doc), "-n", "2", "-s", "2",
+                "--max-len", "3", "--level", "both"]
+    else:
+        docs = {"p": _TOY_P, "q": _TOY_Q, target: doc}
+        argv = ["compile", "--p", json.dumps(docs["p"]), "--q", json.dumps(docs["q"]),
+                "-o", os.devnull]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == cli.EXIT_OK:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+    if code in (cli.EXIT_BAD_INPUT, cli.EXIT_BUDGET):
+        assert out.getvalue() == ""
