@@ -9,6 +9,11 @@ produces the same bytes.
 Every integer field is read by :func:`read_int`, which takes a JSON integer
 or a decimal string and rejects anything else (floats, booleans, other
 text) with :class:`InvalidDocument`.
+
+An encoder document is a cache of what ``build_encoder(p, q)`` determines.
+:func:`encoder_from_doc` therefore parses no image words: it recompiles the
+encoder from ``p``, ``q`` and the dimension and compares every other field
+with the rebuild, raising :class:`InvalidEncoder` on any difference.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Any
 from . import poly
 from .encode import CONTROL_LETTERS, FINAL_LETTER, Encoder, build_encoder, tupled
 from .errors import AlphabetBudgetExceeded, InvalidDocument, InvalidEncoder
-from .lang import LeveledAlphabet, Word, parse_word, text
+from .lang import LeveledAlphabet, parse_word, text
 from .matsem import SparseMatrix
 from .morph import Morphism, endomorphism
 

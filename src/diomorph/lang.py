@@ -265,7 +265,8 @@ def translate(w: Word, mapping: Mapping[Letter, Letter], target: LeveledAlphabet
 
 def text(w: Word) -> str:
     """Render as space-separated runs, e.g. ``z1^2 z2 e^179``; ε renders empty."""
-    return " ".join(letter if count == 1 else f"{letter}^{count}" for letter, count in w.runs)
+    # a list, not a generator: join makes a list of a generator first anyway
+    return " ".join([letter if count == 1 else f"{letter}^{count}" for letter, count in w.runs])
 
 
 def parse_word(alphabet: LeveledAlphabet, s: str) -> Word:

@@ -118,6 +118,17 @@ def test_compile_budget_boundary(toy_files, tmp_path, capsys):
     assert "needs 227 > budget 226" in capsys.readouterr().err
 
 
+def test_compile_refuses_a_huge_exponent_without_computing_its_gadget(toy_files, capsys):
+    # a level of 2**a letters alone is over the budget; 2**(10**30) is never built
+    _, q_path = toy_files
+    p = {"arity": 2, "monomials": [{"coeff": "1", "exponents": [0, 10**30]}]}
+    assert main(["compile", "--p", json.dumps(p), "--q", q_path, "-o", os.devnull]) == cli.EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: alphabet budget exceeded: needs at least 2^{10**30} > budget 32768 "
+                   f"(monomial with exponents (1, {10**30}))\n")
+
+
 def test_bad_env_variable_is_bad_input(toy_files, monkeypatch, capsys):
     p_path, q_path = toy_files
     monkeypatch.setenv("DIOMORPH_ALPHABET_BUDGET", "many")
@@ -530,6 +541,12 @@ def _numeric(value) -> bool:
         isinstance(value, str) and value.lstrip("-").isdigit())
 
 
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 _TOY_P, _TOY_Q = (interchange.polynomial_to_doc(poly.variable(i, 2)) for i in (2, 1))
 _TOY_ENCODER = interchange.encoder_to_doc(encode.build_encoder(poly.variable(2, 2), poly.variable(1, 2)))
 _FUZZ_TARGETS = {"p": _TOY_P, "q": _TOY_Q, "encoder": _TOY_ENCODER}
@@ -559,13 +576,7 @@ def _mutated(draw):
         n = int(parent[key])
         parent[key] = {"negate": -n, "float": float(n),
                        "huge": draw(st.integers(min_value=2**63, max_value=10**40))}[op]
-    return target, doc
-
-
-def _get(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
+    return target, op, doc
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -573,8 +584,9 @@ def _get(doc, path):
 def test_mutated_documents_end_in_a_documented_exit(case):
     # in-process and fast; the corruption cases above replay under -O.  Every
     # ending is a documented exit code, never an exception, and a nonzero exit
-    # writes one line to stderr
-    target, doc = case
+    # writes one line to stderr.  Every numeric field is an integer field, so
+    # a float anywhere is bad input
+    target, op, doc = case
     if target == "encoder":
         argv = ["solve", "--encoder", json.dumps(doc), "-n", "2", "-s", "2",
                 "--max-len", "3", "--level", "both"]
@@ -593,3 +605,5 @@ def test_mutated_documents_end_in_a_documented_exit(case):
         assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
     if code in (cli.EXIT_BAD_INPUT, cli.EXIT_BUDGET):
         assert out.getvalue() == ""
+    if op == "float":
+        assert code == cli.EXIT_BAD_INPUT
