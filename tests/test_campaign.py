@@ -10,7 +10,7 @@ search), and every solver witness is parsed back to a tuple and evaluated.
 
 import itertools
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diomorph import encode, matsem, poly, solve
@@ -44,8 +44,7 @@ def _bounded(row: solve.PointVerdict) -> bool:
     return any("bound" in caveat for caveat in row.caveats)
 
 
-@settings(max_examples=8, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=8, deadline=None, derandomize=True)
 @given(p=polynomials(), q=polynomials(),
        points=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
                        min_size=2, max_size=3, unique=True))
