@@ -38,7 +38,7 @@ from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
 from . import matsem, mtriple, poly
-from .config import alphabet_budget, expansion_cap
+from .config import alphabet_budget
 from .errors import ArityMismatch, ExpansionCapExceeded
 from .lang import LeveledAlphabet, Letter, Word, epsilon, letter_power, word
 from .morph import (
@@ -57,6 +57,8 @@ CONTROL_LETTERS: tuple[Letter, ...] = ("c0", "c1", "c2", "c3")
 FINAL_LETTER: Letter = "e"
 FIRST_TAG = "A"
 SECOND_TAG = "B"
+PROBE_LETTERS = 64  # letters sampled for the row checks of capped words
+PROBE_CAP = 20_000  # expansion cap of each sampled letter's trajectory
 
 
 @dataclass(frozen=True)
@@ -104,17 +106,6 @@ class Encoder:
             if letter.startswith(f"{SECOND_TAG}:")
         )
 
-    def side_of(self, letter: Letter) -> str:
-        if letter in CONTROL_LETTERS:
-            return "control"
-        if letter == FINAL_LETTER:
-            return "final"
-        if letter.startswith(f"{FIRST_TAG}:"):
-            return "first"
-        if letter.startswith(f"{SECOND_TAG}:"):
-            return "second"
-        raise ValueError(f"letter {letter!r} does not belong to an encoder alphabet")
-
     def generator(self, symbol: int) -> Morphism:
         if symbol == 1:
             return self.g1
@@ -131,19 +122,15 @@ def tupled(p: poly.Polynomial, tupling: poly.Polynomial) -> poly.Polynomial:
     return poly.compose(tupling, [poly.variable(i, p.arity) for i in range(1, p.arity + 1)] + [p])
 
 
-def build_encoder(
-    p: poly.Polynomial,
-    q: poly.Polynomial,
-    tupling: poly.Polynomial | None = None,
-    budget: int | None = None,
-) -> Encoder:
+def build_encoder(p: poly.Polynomial, q: poly.Polynomial, budget: int | None = None) -> Encoder:
     """Compile the pair (p, q) into the merged two-counter encoder.
 
-    ``tupling`` is a (t+1)-ary polynomial that must be injective on positive
-    tuples; it defaults to the iterated pairing construction.  ``budget``
-    bounds each monomial gadget and the merged alphabet size.  The gadgets
-    are laid out straight from the exponents
-    (:func:`diomorph.mtriple.lay_out_monomials`); no per-term system is built.
+    Both polynomials are tupled with the (t+1)-ary iterated pairing
+    construction (:func:`diomorph.poly.injective_tupling`), which is
+    injective on positive tuples.  ``budget`` bounds each monomial gadget and
+    the merged alphabet size.  The gadgets are laid out straight from the
+    exponents (:func:`diomorph.mtriple.lay_out_monomials`); no per-term
+    system is built.
     """
     t = p.arity
     if q.arity != t:
@@ -152,13 +139,7 @@ def build_encoder(
         raise ArityMismatch("the encoder needs at least two argument slots")
     limit = alphabet_budget(budget)
 
-    if tupling is None:
-        tupling = poly.injective_tupling(t + 1)
-    if tupling.arity != t + 1:
-        raise ArityMismatch(
-            f"tupling polynomial must take {t + 1} arguments, takes {tupling.arity}"
-        )
-
+    tupling = poly.injective_tupling(t + 1)
     p_tupled, q_tupled = tupled(p, tupling), tupled(q, tupling)
 
     alphabet, g1_images, g2_images, (u, v) = mtriple.lay_out_monomials(
@@ -186,11 +167,11 @@ def build_encoder(
 # ---------------------------------------------------------------------------
 
 
-def generator_words(max_len: int, min_len: int = 0) -> Iterator[tuple[int, ...]]:
+def generator_words(max_len: int) -> Iterator[tuple[int, ...]]:
     """All words over the generator symbols {1, 2} in shortlex order."""
     if max_len < 0:
         raise ValueError("maximum length must be nonnegative")
-    for length in range(min_len, max_len + 1):
+    for length in range(max_len + 1):
         yield from iter_product((1, 2), repeat=length)
 
 
@@ -651,16 +632,17 @@ def annihilation_suite(enc: Encoder, max_len: int = 3) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _probe_letters(enc: Encoder, limit: int = 64) -> tuple[Letter, ...]:
+def _probe_letters(enc: Encoder) -> tuple[Letter, ...]:
     """Letters whose stage-by-stage trajectories stay small.
 
     Used for partial row checks on generator words whose full composition
     exceeds the expansion cap: control letters, the final letter, and a
-    deterministic sample of counter letters with short generator images.
+    deterministic sample of counter letters with short generator images, at
+    most ``PROBE_LETTERS`` in all.
     """
     out: list[Letter] = list(CONTROL_LETTERS) + [FINAL_LETTER]
     for letter in enc.alphabet.letters:
-        if len(out) >= limit:
+        if len(out) >= PROBE_LETTERS:
             break
         if letter in out:
             continue
@@ -669,12 +651,7 @@ def _probe_letters(enc: Encoder, limit: int = 64) -> tuple[Letter, ...]:
     return tuple(out)
 
 
-def functoriality_suite(
-    enc: Encoder,
-    max_len: int = 4,
-    cap: int | None = None,
-    probe_cap: int = 20_000,
-) -> SuiteReport:
+def functoriality_suite(enc: Encoder, max_len: int = 4, cap: int | None = None) -> SuiteReport:
     """Letter-count matrices track composition, word by word.
 
     For every generator word up to ``max_len`` the suite composes the
@@ -686,7 +663,8 @@ def functoriality_suite(
     counted once, not once per composite.  Words whose composite exceeds
     the expansion cap cannot be materialized; for those the suite verifies
     the rows of the matrix product against stage-by-stage word trajectories
-    of a fixed sample of light letters and flags the check as partial.
+    of a fixed sample of light letters, each under the expansion cap
+    ``PROBE_CAP``, and flags the check as partial.
     """
     checks: list[CheckResult] = []
     abc = enc.alphabet
@@ -728,7 +706,7 @@ def functoriality_suite(
                 ok = True
                 for letter in probe:
                     try:
-                        img = apply_generator_word(enc, word(abc, [letter]), w, cap=probe_cap)
+                        img = apply_generator_word(enc, word(abc, [letter]), w, cap=PROBE_CAP)
                     except ExpansionCapExceeded:
                         continue
                     if parikh_vector(img) != prod[w].row_of(abc.index_of(letter)):

@@ -23,7 +23,7 @@ import re
 from typing import Any
 
 from . import poly
-from .encode import CONTROL_LETTERS, FINAL_LETTER, Encoder, build_encoder, tupled
+from .encode import CONTROL_LETTERS, FINAL_LETTER, Encoder, build_encoder
 from .errors import AlphabetBudgetExceeded, InvalidDocument, InvalidEncoder
 from .lang import LeveledAlphabet, parse_word, text
 from .matsem import SparseMatrix
@@ -140,13 +140,12 @@ def encoder_from_doc(doc: dict) -> Encoder:
         raise InvalidEncoder(f"dimension {t} needs {t + 1} alphabet levels, found {abc.level_count}")
     if not all(z in abc for z in CONTROL_LETTERS + (FINAL_LETTER,)):
         raise InvalidEncoder("alphabet lacks one of the letters c0, c1, c2, c3, e")
-    tupling = poly.injective_tupling(t + 1)
-    if (tupled(p, tupling), tupled(q, tupling)) != (p_tupled, q_tupled):
-        raise InvalidEncoder("p_tupled and q_tupled must be the tuplings of p and q")
     try:
-        enc = build_encoder(p, q, tupling, budget=len(abc))
+        enc = build_encoder(p, q, budget=len(abc))
     except AlphabetBudgetExceeded as exc:
         raise InvalidEncoder(f"recompiling p and q needs more than the {len(abc)} letters of the alphabet ({exc})")
+    if (enc.p_tupled, enc.q_tupled) != (p_tupled, q_tupled):
+        raise InvalidEncoder("p_tupled and q_tupled must be the tuplings of p and q")
     matches = {"alphabet": enc.alphabet == abc, "g1": doc["g1"] == morphism_to_doc(enc.g1),
                "g2": doc["g2"] == morphism_to_doc(enc.g2), "u": doc["u"] == text(enc.u),
                "v": doc["v"] == text(enc.v)}

@@ -14,9 +14,9 @@ as ``morph.apply``) build it through ``_normal_word`` and skip the check.
 A word counts its letters once, on first use of ``Word.counts``, and keeps
 the counts; words that are never counted stay as small as before.
 
-Operations that must produce uncompressed data (``expand``) or an unbounded
-number of runs (``word_power`` of a multi-run word, morphism application
-downstream) accept an expansion cap and fail loudly, never truncate.
+Operations that can produce an unbounded number of runs (``word_power`` of
+a multi-run word, morphism application downstream) accept an expansion cap
+and fail loudly, never truncate.
 """
 
 from __future__ import annotations
@@ -233,25 +233,6 @@ def word_power(a: Word, k: int, cap: int | None = None) -> Word:
     if len(a.runs) * k > limit:
         raise ExpansionCapExceeded(len(a.runs) * k, limit, f"run count of a {len(a.runs)}-run word to the power {k}")
     return Word(a.alphabet, _normalize_runs(a.runs * k))
-
-
-def count_of(w: Word, letter: Letter) -> int:
-    """|w|_letter, the number of occurrences of one letter."""
-    if letter not in w.alphabet:
-        raise AlphabetMismatch(f"letter {letter!r} not in alphabet")
-    return sum(count for z, count in w.runs if z == letter)
-
-
-def expand(w: Word, cap: int | None = None) -> tuple[Letter, ...]:
-    """Materialize the uncompressed letter sequence (cap-guarded)."""
-    limit = expansion_cap(cap)
-    n = w.length
-    if n > limit:
-        raise ExpansionCapExceeded(n, limit, "expanding a word to plain letters")
-    out: list[Letter] = []
-    for letter, count in w.runs:
-        out.extend([letter] * count)
-    return tuple(out)
 
 
 def translate(w: Word, mapping: Mapping[Letter, Letter], target: LeveledAlphabet) -> Word:

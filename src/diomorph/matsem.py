@@ -8,10 +8,10 @@ no zeros, no empty rows): dict equality is matrix equality.  ``entries`` (the
 sorted triplets) and ``cols`` (the columns) are cached views.  Matrices are
 validated where they come from outside; products build their rows directly.
 
-Besides the generic algebra (product, power, Kronecker product, transpose)
-this module builds the equation-side matrices used by the bounded solvers:
-left folds of the two generator matrices following the same recipes as the
-word-level equation sides.
+Besides the generic algebra (product, power, vector products) this module
+builds the equation-side matrices used by the bounded solvers: left folds of
+the two generator matrices following the same recipes as the word-level
+equation sides.
 """
 
 from __future__ import annotations
@@ -113,10 +113,6 @@ def identity(dimension: int) -> SparseMatrix:
     return matrix(dimension, ((i, i, 1) for i in range(dimension)))
 
 
-def zeros(dimension: int) -> SparseMatrix:
-    return matrix(dimension, {})
-
-
 def _require_same_dimension(a: SparseMatrix, b: SparseMatrix) -> None:
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"dimensions {a.dimension} and {b.dimension} differ")
@@ -152,18 +148,6 @@ def mat_pow(a: SparseMatrix, n: int) -> SparseMatrix:
     return result
 
 
-def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Kronecker product; dimension multiplies."""
-    k = b.dimension
-    return _from_rows(a.dimension * k, {
-        ra * k + rb: {ca * k + cb: va * vb for ca, va in arow.items() for cb, vb in brow.items()}
-        for ra, arow in a.rows.items() for rb, brow in b.rows.items()})
-
-
-def transpose(a: SparseMatrix) -> SparseMatrix:
-    return _from_rows(a.dimension, {c: dict(col) for c, col in a.cols.items()})
-
-
 def vec_mat(vec: Mapping[int, int], a: SparseMatrix) -> Vector:
     """Row vector times matrix — the letter-count transport step."""
     rows = a.rows
@@ -184,10 +168,6 @@ def mat_vec(a: SparseMatrix, vec: Mapping[int, int]) -> Vector:
     return {i: v for i, v in out.items() if v}
 
 
-def is_upper_triangular(a: SparseMatrix) -> bool:
-    return all(col >= row for row, cols in a.rows.items() for col in cols)
-
-
 # ------------------------------------------------------------------ equation sides
 #
 # The solvers compare two one-sided products of the generator matrices.  Both
@@ -198,8 +178,6 @@ def is_upper_triangular(a: SparseMatrix) -> bool:
 
 def _fold_argument(start: SparseMatrix, step1: SparseMatrix, step2: SparseMatrix,
                    counts: Sequence[int]) -> SparseMatrix:
-    if not counts:
-        raise ValueError("argument product needs at least one count")
     if any(n < 1 for n in counts):
         raise ValueError("argument counts must be positive")
     acc = start
@@ -210,19 +188,13 @@ def _fold_argument(start: SparseMatrix, step1: SparseMatrix, step2: SparseMatrix
     return acc
 
 
-def argument_matrix(step1: SparseMatrix, step2: SparseMatrix, counts: Sequence[int]) -> SparseMatrix:
-    """step1^{n₁}·step2 ⋯ step1^{n_α}·step2 for counts (n₁..n_α)."""
-    _require_same_dimension(step1, step2)
-    return _fold_argument(identity(step1.dimension), step1, step2, counts)
-
-
 def p_side_matrix(step1: SparseMatrix, step2: SparseMatrix, n: int, s: int) -> SparseMatrix:
-    """step2² · argument_matrix(n, s): the left side of the matrix equation."""
+    """step2² · step1^n·step2 · step1^s·step2: the left side of the matrix equation."""
     _require_same_dimension(step1, step2)
     return _fold_argument(mat_pow(step2, 2), step1, step2, (n, s))
 
 
 def q_side_matrix(step1: SparseMatrix, step2: SparseMatrix, n: int, s: int) -> SparseMatrix:
-    """step2³ · argument_matrix(n, s): the right side of the matrix equation."""
+    """step2³ · step1^n·step2 · step1^s·step2: the right side of the matrix equation."""
     _require_same_dimension(step1, step2)
     return _fold_argument(mat_pow(step2, 3), step1, step2, (n, s))

@@ -22,7 +22,7 @@ and ``matrix_of`` takes its rows from them, so a shared image is counted once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import lang, matsem
 from .errors import AlphabetMismatch, ExpansionCapExceeded
@@ -91,12 +91,6 @@ def identity_morphism(alphabet: LeveledAlphabet) -> Morphism:
     return Morphism(alphabet, alphabet, tuple(lang.word(alphabet, [z]) for z in alphabet.letters))
 
 
-def zero_morphism(alphabet: LeveledAlphabet) -> Morphism:
-    """Every letter erased; the absorbing element for composition."""
-    eps = lang.epsilon(alphabet)
-    return Morphism(alphabet, alphabet, tuple(eps for _ in alphabet.letters))
-
-
 def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
     """Homomorphic extension of m to a word, in run form.
 
@@ -160,28 +154,6 @@ def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:
     return Morphism(f.domain, g.codomain, tuple(images))
 
 
-def compose_all(morphisms: Sequence[Morphism], cap: int | None = None) -> Morphism:
-    """Left-to-right composite of a nonempty sequence."""
-    if not morphisms:
-        raise ValueError("need at least one morphism")
-    acc = morphisms[0]
-    for m in morphisms[1:]:
-        acc = compose(acc, m, cap)
-    return acc
-
-
-def power(m: Morphism, k: int, cap: int | None = None) -> Morphism:
-    """k-fold composite of an endomorphism with itself; k = 0 is the identity."""
-    if not m.is_endomorphism:
-        raise AlphabetMismatch("powers need an endomorphism")
-    if k < 0:
-        raise ValueError("negative power")
-    acc = identity_morphism(m.domain)
-    for _ in range(k):
-        acc = compose(acc, m, cap)
-    return acc
-
-
 def parikh_vector(w: Word) -> matsem.Vector:
     """Letter counts of w as a sparse vector indexed by alphabet position (a copy)."""
     return dict(w.counts)
@@ -194,17 +166,6 @@ def matrix_of(g: Morphism) -> matsem.SparseMatrix:
     # images live over the codomain, the domain: their counts are indexed alike
     rows = {i: img.counts for i, img in enumerate(g.images) if img.runs}
     return matsem._from_rows(len(g.domain), rows)
-
-
-def is_upper_triangular(g: Morphism) -> bool:
-    """True iff every letter's image uses only letters at or after it in the order."""
-    if not g.is_endomorphism:
-        raise AlphabetMismatch("triangularity needs an endomorphism")
-    order = g.domain.index_of
-    return all(
-        all(order(z) >= i for z in img.support())
-        for i, img in enumerate(g.images)
-    )
 
 
 def is_zero_morphism(g: Morphism) -> bool:

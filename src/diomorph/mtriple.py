@@ -11,31 +11,29 @@ Built here:
 
 * validation of the five defining conditions (plus triangularity) with a
   per-condition report that names violating letters;
-* the power gadget: a 2^k-letter morphism whose n-fold iteration turns one
-  letter into n^k copies of the last letter (rows of the k-fold Kronecker
-  power of [[1,1],[0,1]]), plus the trivial gadget for exponent zero;
-* monomial systems; one layout routine that sets any number of systems side
-  by side, level by level, in a single pass (a disjoint union sharing one e);
-  nonnegative linear combinations via witness repetition; and the compile
-  step that lays out all monomial systems of a nonzero polynomial with
-  nonnegative coefficients at once;
+* monomial systems, whose level for an exponent k is the power gadget: 2^k
+  letters whose n-fold iteration turns the first into n^k copies of the
+  last (rows of the k-fold Kronecker power of [[1,1],[0,1]]), or two letters
+  a -> b, b -> b for exponent zero;
+* one layout routine that sets any number of systems side by side, level by
+  level, in a single pass (a disjoint union sharing one e), with
+  coefficients entering as witness repetitions;
 * the same layout for whole polynomials built from their exponents alone
-  (``lay_out_monomials``, which the encoder uses): every gadget is named
-  straight into the merged alphabet, without a system or a renaming per
-  term; ``lay_out`` of ``monomial_parts`` stays as its reference;
-* evaluation, word-level when feasible and via letter-count matrices when
-  the intermediate words would blow past the expansion cap.
+  (``lay_out_monomials``, which the encoder and ``compile_polynomial`` use):
+  every gadget is named straight into the merged alphabet, without a system
+  or a renaming per term; ``lay_out`` of ``monomial_parts`` stays as its
+  reference;
+* word-level evaluation of a compiled map at a point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
-from . import lang, matsem, morph, poly
+from . import lang, morph, poly
 from .config import alphabet_budget
-from .errors import AlphabetBudgetExceeded, DimensionMismatch, ExpansionCapExceeded
+from .errors import AlphabetBudgetExceeded, DimensionMismatch
 from .lang import LeveledAlphabet, Letter, Word
 from .morph import Morphism
 
@@ -183,33 +181,6 @@ def validate(triple: MTriple) -> MTripleReport:
 
 def _superset_masks(mask: int, k: int) -> list[int]:
     return [j for j in range(2**k) if j | mask == j]
-
-
-def kronecker_power_morphism(k: int, budget: int | None = None) -> tuple[LeveledAlphabet, Morphism]:
-    """A 2^k-letter morphism h with |apply(h^n, first)|_last = n^k.
-
-    Letter i's image is the increasing product of all letters whose index
-    bitmask (0-based) contains letter i's; the letter-count matrix is then
-    exactly the k-fold Kronecker power of [[1,1],[0,1]].
-    """
-    if k < 1:
-        raise ValueError("power gadget needs k >= 1")
-    limit = alphabet_budget(budget)
-    if 2**k > limit:
-        raise AlphabetBudgetExceeded(2**k, limit, f"power gadget for exponent {k}")
-    alphabet = lang.flat_alphabet([f"z{i + 1}" for i in range(2**k)])
-    table = {
-        f"z{i + 1}": lang.word(alphabet, [f"z{j + 1}" for j in _superset_masks(i, k)])
-        for i in range(2**k)
-    }
-    return alphabet, morph.endomorphism(alphabet, table)
-
-
-def constant_exponent_morphism() -> tuple[LeveledAlphabet, Morphism]:
-    """The exponent-0 gadget: |apply(h^n, a)|_b = 1 for every n >= 1."""
-    alphabet = lang.flat_alphabet(["a", "b"])
-    b = lang.word(alphabet, ["b"])
-    return alphabet, morph.endomorphism(alphabet, {"a": b, "b": b})
 
 
 def _block_images(exponent: int) -> list[list[int]]:
@@ -420,20 +391,6 @@ def repeat_witness(c: ComputableMap, times: int) -> ComputableMap:
                          poly.scale(c.polynomial, times))
 
 
-def linear_combination(left: ComputableMap, right: ComputableMap,
-                       alpha: int, beta: int, budget: int | None = None) -> ComputableMap:
-    """The map computing alpha·left + beta·right, witnessed by u^alpha v^beta."""
-    if alpha < 1 or beta < 1:
-        raise ValueError("combination weights must be positive integers")
-    merged_left, merged_right = direct_sum_maps(left, right, budget)
-    witness = lang.word_concat(
-        lang.word_power(merged_left.witness, alpha),
-        lang.word_power(merged_right.witness, beta),
-    )
-    combined = poly.add(poly.scale(left.polynomial, alpha), poly.scale(right.polynomial, beta))
-    return ComputableMap(merged_left.triple, witness, combined)
-
-
 def monomial_parts(p: poly.Polynomial, budget: int | None = None) -> list[ComputableMap]:
     """One monomial system per term of a nonzero polynomial, in term order.
 
@@ -452,21 +409,19 @@ def monomial_parts(p: poly.Polynomial, budget: int | None = None) -> list[Comput
 
 
 def compile_polynomial(p: poly.Polynomial, budget: int | None = None) -> ComputableMap:
-    """Lay out the monomial systems of a nonzero polynomial as one map.
+    """Lay out the monomial systems of a nonzero polynomial as one map,
+    with the layout the encoder runs (:func:`lay_out_monomials`).
 
     The witness is the concatenation of the parts' witnesses in term order.
     """
-    merged, g1, g2, witnesses = lay_out(monomial_parts(p, budget), budget=budget,
-                                        context="monomial systems of one polynomial")
+    merged, g1, g2, (witness,) = lay_out_monomials([p], budget=budget,
+                                                   context="monomial systems of one polynomial")
     triple = MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),
                      p.arity)
-    return ComputableMap(triple, reduce(lang.word_concat, witnesses), p)
+    return ComputableMap(triple, witness, p)
 
 
 # ------------------------------------------------------------------ evaluation
-
-WORD_LEVEL_POINT_LIMIT = 512
-
 
 def compute_word_level(c: ComputableMap, point: Sequence[int], cap: int | None = None) -> int:
     """Run the iteration on actual words and read off the exponent of e."""
@@ -478,42 +433,6 @@ def compute_word_level(c: ComputableMap, point: Sequence[int], cap: int | None =
         current = morph.apply(c.triple.g2, current, cap)
     assert current.support() <= {c.triple.final_letter}, "iteration must end in the final letter"
     return current.length
-
-
-def compute_matrix_level(c: ComputableMap, point: Sequence[int]) -> int:
-    """Transport the witness letter counts through matrix powers instead."""
-    _check_point(c, point)
-    m1 = morph.matrix_of(c.triple.g1)
-    m2 = morph.matrix_of(c.triple.g2)
-    vec = morph.parikh_vector(c.witness)
-    for n in point:
-        vec = matsem.vec_mat(vec, matsem.mat_pow(m1, n))
-        vec = matsem.vec_mat(vec, m2)
-    final_index = len(c.triple.alphabet) - 1
-    assert set(vec) <= {final_index}, "iteration must end in the final letter"
-    return vec.get(final_index, 0)
-
-
-def compute(c: ComputableMap, point: Sequence[int], method: str = "auto",
-            cap: int | None = None) -> int:
-    """Evaluate the computed polynomial at a point of positive integers.
-
-    "auto" runs word-level for small points and falls back to letter-count
-    matrices when words would overrun the expansion cap (the two agree by
-    the count-transport invariant).
-    """
-    if method == "word":
-        return compute_word_level(c, point, cap)
-    if method == "matrix":
-        return compute_matrix_level(c, point)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    if max(point, default=1) <= WORD_LEVEL_POINT_LIMIT:
-        try:
-            return compute_word_level(c, point, cap)
-        except ExpansionCapExceeded:
-            pass
-    return compute_matrix_level(c, point)
 
 
 def _check_point(c: ComputableMap, point: Sequence[int]) -> None:

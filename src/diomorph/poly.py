@@ -42,10 +42,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; zero polynomial reports 0."""
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

@@ -60,6 +60,7 @@ from .encode import (
     Encoder,
     apply_generator_word,
     argument_word,
+    build_encoder,
     matrices,
     p_side_word,
     q_side_word,
@@ -94,17 +95,6 @@ def diophantine_oracle(
         if poly.evaluate(p, point) == poly.evaluate(q, point):
             return rest
     return None
-
-
-def witness_from_tuple(rest: Sequence[int]) -> tuple[int, ...]:
-    """The generator word g1^m1 g2 ... g1^mk g2 for a recovered tuple."""
-    out: list[int] = []
-    for m in rest:
-        if m < 1:
-            raise ValueError("witness entries must be positive")
-        out.extend([1] * m)
-        out.append(2)
-    return tuple(out)
 
 
 def extract_argument_tuple(
@@ -561,8 +551,6 @@ def equivalence_report(
     witnesses whose argument chain fits in ``solver_bound`` letters, and the
     oracle can only see solver witnesses whose entries fit in its box.
     """
-    from .encode import build_encoder
-
     enc = encoder if encoder is not None else build_encoder(p, q)
     if (enc.p, enc.q) != (p, q):
         raise ValueError("provided encoder was built from different polynomials")
@@ -580,7 +568,7 @@ def equivalence_report(
             # a genuine verdict difference, possibly bound-induced: annotate
             agree = False
             if oracle_witness is not None:
-                needed = len(witness_from_tuple(oracle_witness))
+                needed = sum(oracle_witness) + len(oracle_witness)  # |argument_word(tuple)|
                 if needed > solver_bound:
                     caveats.append(
                         f"oracle witness needs a word of length {needed} "

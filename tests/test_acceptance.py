@@ -10,7 +10,7 @@ import itertools
 import time
 from contextlib import contextmanager
 
-from diomorph import encode, lang, morph, mtriple, poly, solve
+from diomorph import encode, morph, mtriple, poly, solve
 
 
 @contextmanager
@@ -60,13 +60,14 @@ def test_01_compiled_maps_match_polynomial_evaluation():
 
 def test_02_power_gadget_letter_counts():
     with criterion("power gadget letter counts"):
+        # the first level of the monomial system for x1^k is the power gadget
         for k in (1, 2, 3):
-            alphabet, h = mtriple.kronecker_power_morphism(k)
-            last = alphabet.letters[-1]
-            current = lang.word(alphabet, [alphabet.letters[0]])
+            c = mtriple.monomial_mtriple((k,))
+            last = c.triple.alphabet.index_of(c.triple.level(1)[-1])
+            current = c.witness
             for n in range(1, 6):
-                current = morph.apply(h, current)
-                assert lang.count_of(current, last) == n**k, (k, n)
+                current = morph.apply(c.triple.g1, current)
+                assert current.counts[last] == n**k, (k, n)
 
 
 def test_03_validation_condition_profiles(squares_encoder, toy_encoder):

@@ -57,7 +57,7 @@ def test_solver_verdicts_agree_with_the_oracle_on_random_pairs(p, q, points):
         pt = solve.point(enc, n, s, 0)
         # every tuple of the box: its word solves the equation exactly when the tuple solves p = q
         for rest in itertools.product(range(1, ORACLE_BOX + 1), repeat=T - 2):
-            x = solve.witness_from_tuple(rest)
+            x = encode.argument_word(rest)
             left, right = _fold(pt.a, m1, m2, x), _fold(pt.b, m1, m2, x)
             full = (n, s) + rest
             if poly.evaluate(p, full) == poly.evaluate(q, full):

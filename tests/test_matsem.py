@@ -1,4 +1,3 @@
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,17 +21,6 @@ def dense_mul(a, b):
     return [[sum(a[i][x] * b[x][j] for x in range(k)) for j in range(k)] for i in range(k)]
 
 
-def dense_kron(a, b):
-    ka, kb = len(a), len(b)
-    out = [[0] * (ka * kb) for _ in range(ka * kb)]
-    for i in range(ka):
-        for j in range(ka):
-            for x in range(kb):
-                for y in range(kb):
-                    out[i * kb + x][j * kb + y] = a[i][j] * b[x][y]
-    return out
-
-
 small = st.integers(0, 6)
 dense3 = st.lists(st.lists(small, min_size=3, max_size=3), min_size=3, max_size=3)
 
@@ -53,7 +41,7 @@ def test_negative_entry_rejected():
 def test_identity_and_zero():
     i3 = matsem.identity(3)
     assert dense(i3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert matsem.zeros(3).is_zero
+    assert matsem.matrix(3, {}).is_zero
     assert not i3.is_zero
 
 
@@ -106,27 +94,7 @@ def test_negative_power_rejected():
         matsem.mat_pow(N, -1)
 
 
-# ---------------------------------------------------------------- kron / transpose / vectors
-
-def test_kron_matches_dense_oracle():
-    rng = random.Random(3)
-    for _ in range(20):
-        a = [[rng.randint(0, 4) for _ in range(2)] for _ in range(2)]
-        b = [[rng.randint(0, 4) for _ in range(3)] for _ in range(3)]
-        got = matsem.kron(matsem.from_dense(a), matsem.from_dense(b))
-        assert dense(got) == dense_kron(a, b)
-
-
-def test_kron_of_unipotent_cubed():
-    nn = matsem.kron(N, N)
-    assert matsem.mat_pow(nn, 3).entry(0, 3) == 9
-
-
-def test_transpose_involution():
-    m = matsem.from_dense([[0, 2, 1], [0, 0, 3], [0, 0, 0]])
-    assert matsem.transpose(matsem.transpose(m)) == m
-    assert matsem.transpose(m).entry(1, 0) == 2
-
+# ---------------------------------------------------------------- vectors
 
 @given(dense3, st.dictionaries(st.integers(0, 2), st.integers(1, 5), max_size=3))
 @settings(max_examples=80)
@@ -148,43 +116,32 @@ def test_mat_vec_matches_dense(a, vec):
         assert got.get(i, 0) == expected
 
 
-def test_upper_triangular_predicate():
-    assert matsem.is_upper_triangular(N)
-    assert matsem.is_upper_triangular(matsem.identity(4))
-    assert not matsem.is_upper_triangular(matsem.from_dense([[0, 0], [1, 0]]))
-
-
 # ---------------------------------------------------------------- equation sides
 
 A = matsem.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 B = matsem.from_dense([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
-def test_argument_matrix_single_count():
-    assert matsem.argument_matrix(A, B, [2]) == matsem.mat_mul(matsem.mat_pow(A, 2), B)
-
-
-def test_argument_matrix_two_counts():
-    expected = matsem.mat_mul(matsem.mat_mul(matsem.mat_mul(A, B), A), B)
-    assert matsem.argument_matrix(A, B, [1, 1]) == expected
-
-
 def test_side_matrices_are_prefixed_products():
-    arg = matsem.argument_matrix(A, B, [1, 1])
+    arg = matsem.mat_mul(matsem.mat_mul(matsem.mat_mul(A, B), A), B)  # A^1·B · A^1·B
     assert matsem.p_side_matrix(A, B, 1, 1) == matsem.mat_mul(matsem.mat_pow(B, 2), arg)
     assert matsem.q_side_matrix(A, B, 1, 1) == matsem.mat_mul(matsem.mat_pow(B, 3), arg)
 
 
-def test_argument_matrix_rejects_bad_counts():
+def test_side_matrices_reject_nonpositive_counts():
     with pytest.raises(ValueError):
-        matsem.argument_matrix(A, B, [])
+        matsem.p_side_matrix(A, B, 0, 1)
     with pytest.raises(ValueError):
-        matsem.argument_matrix(A, B, [0])
+        matsem.q_side_matrix(A, B, 1, 0)
 
 
 def test_triangularity_closed_under_product():
-    assert matsem.is_upper_triangular(matsem.mat_mul(A, B))
-    assert matsem.is_upper_triangular(matsem.p_side_matrix(A, B, 2, 3))
+    def upper_triangular(m):
+        return all(c >= r for r, c, _ in m.entries)
+
+    assert upper_triangular(A) and upper_triangular(B)
+    assert upper_triangular(matsem.mat_mul(A, B))
+    assert upper_triangular(matsem.p_side_matrix(A, B, 2, 3))
 
 
 # ---------------------------------------------------------------- typed errors

@@ -13,86 +13,96 @@ def x(i, t):
 
 
 # ---------------------------------------------------------------- power gadgets
+#
+# The first level of the monomial system for exponent k is the power gadget
+# for k: 2^k letters whose count matrix is the k-fold Kronecker power of
+# [[1, 1], [0, 1]], or a -> b, b -> b for k = 0.
+
+def _gadget(exponents):
+    """The system's first level, its g1, and the count matrix of the first level's block."""
+    c = mtriple.monomial_mtriple(exponents)
+    level, g1 = c.triple.level(1), c.triple.g1
+    m = morph.matrix_of(g1)  # the first level opens the alphabet, so its block is top left
+    block = matsem.from_dense([[m.entry(i, j) for j in range(len(level))] for i in range(len(level))])
+    return c, level, g1, block
+
 
 def test_power_gadget_k1():
-    alphabet, h = mtriple.kronecker_power_morphism(1)
-    assert alphabet.letters == ("z1", "z2")
-    assert lang.text(h.image("z1")) == "z1 z2"
-    assert lang.text(h.image("z2")) == "z2"
-    assert morph.matrix_of(h) == matsem.from_dense([[1, 1], [0, 1]])
+    _, level, g1, block = _gadget((1,))
+    assert level == ("1.1", "1.2")
+    assert lang.text(g1.image("1.1")) == "1.1 1.2"
+    assert lang.text(g1.image("1.2")) == "1.2"
+    assert block == matsem.from_dense([[1, 1], [0, 1]])
 
 
 def test_power_gadget_k2_matrix_is_kron_square():
-    _, h = mtriple.kronecker_power_morphism(2)
-    n = matsem.from_dense([[1, 1], [0, 1]])
-    assert morph.matrix_of(h) == matsem.kron(n, n)
-    assert morph.matrix_of(h) == matsem.from_dense(
+    _, _, _, block = _gadget((2,))
+    assert block == matsem.from_dense(
         [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     )
 
 
 def test_power_gadget_counts_by_explicit_application():
-    alphabet, h = mtriple.kronecker_power_morphism(2)
-    w = lang.word(alphabet, ["z1"])
+    c, level, g1, _ = _gadget((2,))
+    w = c.witness
     for _ in range(3):
-        w = morph.apply(h, w)
-    letters = list(lang.expand(w))
-    assert letters.count("z4") == 9
+        w = morph.apply(g1, w)
+    assert w.counts[c.triple.alphabet.index_of(level[-1])] == 9
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_power_gadget_count_law(k):
-    alphabet, h = mtriple.kronecker_power_morphism(k)
-    first, last = alphabet.letters[0], alphabet.letters[-1]
+    c, level, g1, _ = _gadget((k,))
+    last = c.triple.alphabet.index_of(level[-1])
     for n in range(1, 6):
-        w = lang.word(alphabet, [first])
+        w = c.witness
         for _ in range(n):
-            w = morph.apply(h, w)
-        assert lang.count_of(w, last) == n**k
+            w = morph.apply(g1, w)
+        assert w.counts[last] == n**k
 
 
 def test_power_gadget_triangular_and_increasing():
-    alphabet, h = mtriple.kronecker_power_morphism(3)
-    assert morph.is_upper_triangular(h)
-    for z in alphabet.letters:
-        img = lang.expand(h.image(z))
-        indices = [alphabet.index_of(y) for y in img]
+    c, level, g1, _ = _gadget((3,))
+    for z in level:
+        runs = g1.image(z).runs
+        indices = [c.triple.alphabet.index_of(y) for y, _ in runs]
+        assert all(count == 1 for _, count in runs)
         assert indices == sorted(indices) and len(set(indices)) == len(indices)
+        assert indices[0] == c.triple.alphabet.index_of(z)  # every image starts with its letter
 
 
 def test_power_gadget_budget():
     with pytest.raises(AlphabetBudgetExceeded):
-        mtriple.kronecker_power_morphism(4, budget=8)
-    with pytest.raises(ValueError):
-        mtriple.kronecker_power_morphism(0)
+        mtriple.monomial_mtriple((4,), budget=16)  # 2^4 gadget letters and e
+    assert len(mtriple.monomial_mtriple((4,), budget=17).triple.alphabet) == 17
 
 
 def test_constant_gadget():
-    alphabet, h = mtriple.constant_exponent_morphism()
-    assert lang.text(morph.apply(h, lang.word(alphabet, ["a"]))) == "b"
-    w = lang.word(alphabet, ["a"])
+    c, level, g1, block = _gadget((0, 2))
+    assert level == ("1.1", "1.2")
+    assert lang.text(morph.apply(g1, c.witness)) == "1.2"
+    w = c.witness
     for _ in range(5):
-        w = morph.apply(h, w)
-    assert lang.text(w) == "b"
-    assert morph.matrix_of(h) == matsem.from_dense([[0, 1], [0, 1]])
-    assert morph.is_upper_triangular(h)
+        w = morph.apply(g1, w)
+    assert lang.text(w) == "1.2"
+    assert block == matsem.from_dense([[0, 1], [0, 1]])
 
 
 # ---------------------------------------------------------------- monomials
 
 def test_monomial_square():
     c = mtriple.monomial_mtriple([2])
-    assert mtriple.compute(c, (3,)) == 9
+    assert mtriple.compute_word_level(c, (3,)) == 9
 
 
 def test_monomial_product():
     c = mtriple.monomial_mtriple([1, 1])
-    assert mtriple.compute(c, (2, 3)) == 6
+    assert mtriple.compute_word_level(c, (2, 3)) == 6
 
 
 def test_monomial_with_zero_exponent():
     c = mtriple.monomial_mtriple([0, 2])
-    assert mtriple.compute(c, (5, 2)) == 4
+    assert mtriple.compute_word_level(c, (5, 2)) == 4
 
 
 def test_monomial_validates():
@@ -137,8 +147,8 @@ def test_direct_sum_witnesses_still_compute():
     b = mtriple.monomial_mtriple([1])
     left, right = mtriple.direct_sum_maps(a, b)
     for n in range(1, 5):
-        assert mtriple.compute(left, (n,)) == n**2
-        assert mtriple.compute(right, (n,)) == n
+        assert mtriple.compute_word_level(left, (n,)) == n**2
+        assert mtriple.compute_word_level(right, (n,)) == n
 
 
 def test_direct_sum_dimension_mismatch():
@@ -146,72 +156,41 @@ def test_direct_sum_dimension_mismatch():
         mtriple.direct_sum_maps(mtriple.monomial_mtriple([1]), mtriple.monomial_mtriple([1, 1]))
 
 
-# ---------------------------------------------------------------- linear combination
-
-def test_combination_doubles():
-    a = mtriple.monomial_mtriple([1])
-    b = mtriple.monomial_mtriple([1])
-    c = mtriple.linear_combination(a, b, 1, 2)
-    assert mtriple.compute(c, (2,)) == 6
-    assert c.polynomial == poly.polynomial(1, {(1,): 3})
-
-
-def test_combination_mixed_monomials():
-    a = mtriple.monomial_mtriple([2, 0])
-    b = mtriple.monomial_mtriple([0, 1])
-    c = mtriple.linear_combination(a, b, 1, 1)
-    assert mtriple.compute(c, (3, 4)) == 13
-
-
-def test_combination_with_constant():
-    a = mtriple.monomial_mtriple([1])
-    one = mtriple.monomial_mtriple([0])
-    c = mtriple.linear_combination(a, one, 2, 1)
-    assert mtriple.compute(c, (7,)) == 15
-
-
-def test_combination_rejects_zero_weights():
-    a = mtriple.monomial_mtriple([1])
-    with pytest.raises(ValueError):
-        mtriple.linear_combination(a, a, 0, 1)
-
-
 # ---------------------------------------------------------------- compile
 
 def test_compile_square_plus_two():
     p = poly.polynomial(1, {(2,): 1, (0,): 2})
     c = mtriple.compile_polynomial(p)
-    assert mtriple.compute(c, (3,)) == 11
+    assert mtriple.compute_word_level(c, (3,)) == 11
     assert mtriple.validate(c.triple).passed
 
 
 def test_compile_product():
     p = poly.polynomial(2, {(1, 1): 1})
     c = mtriple.compile_polynomial(p)
-    assert mtriple.compute(c, (2, 5)) == 10
+    assert mtriple.compute_word_level(c, (2, 5)) == 10
 
 
 def test_compile_constant_one():
     c = mtriple.compile_polynomial(poly.constant(1, 1))
     for n in (1, 2, 9):
-        assert mtriple.compute(c, (n,)) == 1
+        assert mtriple.compute_word_level(c, (n,)) == 1
 
 
 def test_compile_identity_map():
     c = mtriple.compile_polynomial(x(1, 1))
-    assert mtriple.compute(c, (4,)) == 4
+    assert mtriple.compute_word_level(c, (4,)) == 4
 
 
 def test_compile_cube():
     c = mtriple.compile_polynomial(poly.polynomial(1, {(3,): 1}))
-    assert mtriple.compute(c, (2,), method="word") == 8
-    assert mtriple.compute(c, (2,), method="matrix") == 8
+    assert mtriple.compute_word_level(c, (2,)) == 8
 
 
 def test_compile_mixed():
     p = poly.polynomial(2, {(2, 0): 1, (0, 1): 2})
     c = mtriple.compile_polynomial(p)
-    assert mtriple.compute(c, (3, 5)) == 19
+    assert mtriple.compute_word_level(c, (3, 5)) == 19
 
 
 def test_compile_rejects_zero():
@@ -226,7 +205,7 @@ def test_parts_sum_check_survives_optimize_flag(run_python):
         "good = mtriple.repeat_witness\n"
         "mtriple.repeat_witness = lambda c, times: good(c, times + 1)\n"
         "try:\n"
-        "    mtriple.compile_polynomial(poly.variable(1, 2))\n"
+        "    mtriple.monomial_parts(poly.variable(1, 2))\n"
         "except AssertionError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -412,7 +391,7 @@ def test_monomial_layout_raises_in_the_reference_order(polys, budget):
 
 def test_validation_rejects_degenerate_dimension():
     alphabet = lang.flat_alphabet(["e"])
-    erase = morph.zero_morphism(alphabet)
+    erase = morph.endomorphism(alphabet, {"e": lang.epsilon(alphabet)})
     report = mtriple.validate_mtriple(alphabet, erase, erase, 0)
     assert not report.passed
     assert "structural" in report.failed_names
@@ -469,14 +448,7 @@ small_polys = st.builds(
 @settings(max_examples=30, deadline=None)
 def test_compiled_maps_agree_with_evaluation(p, point):
     c = mtriple.compile_polynomial(p)
-    assert mtriple.compute(c, point) == poly.evaluate(p, point)
-
-
-@given(small_polys, st.tuples(st.integers(1, 3), st.integers(1, 3)))
-@settings(max_examples=15, deadline=None)
-def test_word_and_matrix_paths_agree(p, point):
-    c = mtriple.compile_polynomial(p)
-    assert mtriple.compute_word_level(c, point) == mtriple.compute_matrix_level(c, point)
+    assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
 
 
 def test_final_letter_absent_before_last_step():
@@ -511,18 +483,12 @@ def test_exhaustive_small_boxes():
                 expected = 1
                 for n, a in zip(point, exps):
                     expected *= n**a
-                assert mtriple.compute(c, point) == expected
+                assert mtriple.compute_word_level(c, point) == expected
 
 
 def test_compute_point_checks():
     c = mtriple.compile_polynomial(x(1, 1))
     with pytest.raises(DimensionMismatch):
-        mtriple.compute(c, (1, 2))
+        mtriple.compute_word_level(c, (1, 2))
     with pytest.raises(ValueError):
-        mtriple.compute(c, (0,))
-
-
-def test_compute_huge_point_uses_matrices():
-    c = mtriple.compile_polynomial(poly.polynomial(1, {(2,): 1}))
-    n = 10**6
-    assert mtriple.compute(c, (n,)) == n**2
+        mtriple.compute_word_level(c, (0,))

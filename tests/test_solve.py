@@ -16,7 +16,6 @@ from diomorph.solve import (
     solve_one_unknown_words,
     solve_two_unknowns,
     solve_two_unknowns_words,
-    witness_from_tuple,
 )
 
 
@@ -79,14 +78,6 @@ def test_oracle_input_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_witness_from_tuple():
-    assert witness_from_tuple(()) == ()
-    assert witness_from_tuple((2,)) == (1, 1, 2)
-    assert witness_from_tuple((1, 2)) == (1, 2, 1, 1, 2)
-    with pytest.raises(ValueError):
-        witness_from_tuple((0,))
-
-
 def test_extract_argument_tuple_round_trip():
     assert extract_argument_tuple(3, 1, 4, (1, 1, 2)) == (1, 4, 2)
     assert extract_argument_tuple(2, 5, 7, ()) == (5, 7)
@@ -114,7 +105,7 @@ def test_extract_argument_tuple_rejects_bad_shapes():
 )
 def test_extract_inverts_witness_words(n, s, rest):
     dimension = 2 + len(rest)
-    x = witness_from_tuple(rest)
+    x = encode.argument_word(rest) if rest else ()
     assert extract_argument_tuple(dimension, n, s, x) == (n, s) + tuple(rest)
 
 
@@ -150,7 +141,7 @@ def test_one_unknown_shortlex_returns_least(trivial_encoder):
 
 def test_zero_side_exhausts_immediately(toy_encoder):
     dim = len(toy_encoder.alphabet.letters)
-    z = matsem.zeros(dim)
+    z = matsem.matrix(dim, {})
     m1, m2 = encode.matrices(toy_encoder)
     result = solve_one_unknown(solve.Point(toy_encoder, 1, 1, 3, z, z, m1, m2))
     assert result.outcome == "exhausted"  # 0 = 0 is annihilating, never a witness
@@ -263,7 +254,7 @@ def test_solvers_match_a_brute_force_search(
     enc = squares_encoder if which == "squares" else toy_encoder
     pt = solve.point(enc, n, s, max_len)
     if which == "zero sides":  # as in test_zero_side_exhausts_immediately
-        z = matsem.zeros(pt.a.dimension)
+        z = matsem.matrix(pt.a.dimension, {})
         pt = solve.Point(enc, n, s, max_len, z, z, pt.m1, pt.m2)
     witness = _brute_force(pt, two=False)
     pair = _brute_force(pt, two=True)
@@ -310,7 +301,7 @@ def test_refold_check_survives_optimize_flag(run_python):
         "m = matsem.identity(2)\n"
         "solve._check_refold(m, m, m, (1,), m)\n"
         "try:\n"
-        "    solve._check_refold(m, m, m, (1,), matsem.zeros(2))\n"
+        "    solve._check_refold(m, m, m, (1,), matsem.matrix(2, {}))\n"
         "except AssertionError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -385,7 +376,7 @@ def test_equivalence_report_flags_small_solver_bound(squares_encoder):
     report = equivalence_report(p, q, [(1, 4)], 5, 2, encoder=squares_encoder)
     row = report.rows[0]
     assert not row.agree
-    assert any("solver bound" in c for c in row.caveats)
+    assert row.caveats == ("oracle witness needs a word of length 3 > solver bound 2",)
 
 
 def test_equivalence_report_flags_small_oracle_box():
