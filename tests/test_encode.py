@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import tracemalloc
 
 import pytest
@@ -73,6 +74,27 @@ def test_tupled_polynomials_record_value_in_last_slot(toy_encoder):
         assert poly.evaluate(enc.q_tupled, point) == poly.evaluate(
             tupling, point + (poly.evaluate(enc.q, point),)
         )
+
+
+def test_squares_tupling_has_a_slot_per_argument_and_one_for_the_value(squares_encoder):
+    enc = squares_encoder
+    tupling = poly.injective_tupling(enc.dimension + 1)
+    assert enc.p_tupled == encode.tupled(enc.p, tupling)
+    assert enc.q_tupled == encode.tupled(enc.q, tupling)
+    # injective on positive tuples: distinct points give distinct tupled values
+    box = list(itertools.product(range(1, 4), repeat=3))
+    assert len({poly.evaluate(enc.q_tupled, point) for point in box}) == len(box)
+
+
+def test_side_indices_partition_the_alphabet(toy_encoder):
+    enc = toy_encoder
+    first, second = enc.first_indices, enc.second_indices
+    controls, final = set(enc.control_indices), {enc.final_index}
+    assert first and second and not first & second
+    assert first | second | controls | final == set(range(len(enc.alphabet)))
+    assert len(first) + len(second) + len(controls) + 1 == len(enc.alphabet)
+    # each counter's witness starts on its own side
+    assert set(enc.u.counts) <= first and set(enc.v.counts) <= second
 
 
 def test_frozen_tupled_values(toy_encoder):

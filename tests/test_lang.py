@@ -131,6 +131,20 @@ def test_power_multi_run_capped():
         lang.word_power(W(["z1", "z2"]), 6, cap=10)
 
 
+def test_power_cap_boundary():
+    ab = W(["z1", "z2"])
+    assert lang.word_power(ab, 5, cap=10).length == 10  # ten runs fit a cap of ten
+    with pytest.raises(ExpansionCapExceeded) as err:
+        lang.word_power(ab, 5, cap=9)
+    assert (err.value.needed, err.value.cap) == (10, 9)
+
+
+def test_text_of_an_astronomical_run():
+    w = lang.word_from_runs(Z, [("z1", 1), ("e", 10**40)])
+    assert lang.text(w) == f"z1 e^{10**40}"
+    assert lang.parse_word(Z, lang.text(w)) == w
+
+
 # ---------------------------------------------------------------- parikh
 
 def test_parikh_counts():

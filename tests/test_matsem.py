@@ -116,16 +116,50 @@ def test_mat_vec_matches_dense(a, vec):
         assert got.get(i, 0) == expected
 
 
+@given(dense3, st.dictionaries(st.integers(0, 2), st.integers(1, 5), max_size=3))
+@settings(max_examples=80)
+def test_vec_mat_is_mat_vec_of_the_transpose(a, vec):
+    transposed = [list(col) for col in zip(*a)]
+    assert matsem.vec_mat(vec, matsem.from_dense(a)) == matsem.mat_vec(
+        matsem.from_dense(transposed), vec)
+
+
 # ---------------------------------------------------------------- equation sides
 
 A = matsem.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 B = matsem.from_dense([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+# B^2 · X keeps only X's last row, which is zero for every A·B product; a cyclic
+# step2 keeps the side matrices nonzero, so that their products are pinned
+P = matsem.from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def test_side_matrices_are_prefixed_products():
-    arg = matsem.mat_mul(matsem.mat_mul(matsem.mat_mul(A, B), A), B)  # A^1·B · A^1·B
-    assert matsem.p_side_matrix(A, B, 1, 1) == matsem.mat_mul(matsem.mat_pow(B, 2), arg)
-    assert matsem.q_side_matrix(A, B, 1, 1) == matsem.mat_mul(matsem.mat_pow(B, 3), arg)
+    arg = matsem.mat_mul(matsem.mat_mul(matsem.mat_mul(A, P), A), P)  # A^1·P · A^1·P
+    assert matsem.p_side_matrix(A, P, 1, 1) == matsem.mat_mul(matsem.mat_pow(P, 2), arg)
+    assert matsem.q_side_matrix(A, P, 1, 1) == matsem.mat_mul(matsem.mat_pow(P, 3), arg)
+    assert not matsem.p_side_matrix(A, P, 1, 1).is_zero
+
+
+def test_side_matrices_take_the_counts_as_powers():
+    arg = matsem.mat_mul(matsem.mat_mul(matsem.mat_pow(A, 2), P),
+                         matsem.mat_mul(matsem.mat_pow(A, 3), P))  # A^2·P · A^3·P
+    assert matsem.p_side_matrix(A, P, 2, 3) == matsem.mat_mul(matsem.mat_pow(P, 2), arg)
+    assert matsem.p_side_matrix(A, P, 3, 2) != matsem.p_side_matrix(A, P, 2, 3)
+
+
+@given(dense3, dense3, st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=60)
+def test_q_side_is_step2_times_p_side(a, b, n, s):
+    step1, step2 = matsem.from_dense(a), matsem.from_dense(b)
+    assert matsem.q_side_matrix(step1, step2, n, s) == matsem.mat_mul(
+        step2, matsem.p_side_matrix(step1, step2, n, s))
+
+
+def test_side_matrices_reject_mismatched_dimensions():
+    with pytest.raises(DimensionMismatch):
+        matsem.p_side_matrix(A, N, 1, 1)
+    with pytest.raises(DimensionMismatch):
+        matsem.q_side_matrix(N, B, 1, 1)
 
 
 def test_side_matrices_reject_nonpositive_counts():

@@ -310,6 +310,15 @@ def test_matrix_of_unipotent_rewrite():
     assert morph.matrix_of(H) == matsem.from_dense([[1, 1], [0, 1]])
 
 
+def test_repeated_composition_matches_matrix_powers():
+    power = morph.identity_morphism(Z)
+    for n in range(1, 26):
+        power = morph.compose(power, H)
+        assert morph.matrix_of(power) == matsem.mat_pow(morph.matrix_of(H), n)
+    # |z1 h^n|_{z2} = n for the unipotent rewrite
+    assert lang.text(morph.apply(power, lang.word(Z, ["z1"]))) == "z1 z2^25"
+
+
 def test_parikh_vector_is_a_copy():
     m = mk(Z, {"z1": "z1 z2^3", "z2": "z2"})
     vec = morph.parikh_vector(m.images[0])
@@ -393,3 +402,12 @@ def test_triangular_closed_under_compose_and_sum(f, g):
     table.update({renamed[z]: lang.translate(img, renamed, combined)
                   for z, img in zip(Z4.letters, g.images)})
     assert upper_triangular(morph.endomorphism(combined, table))
+
+
+@given(st.one_of(endos(), triangular_endos()))
+@settings(max_examples=60)
+def test_matrix_triangularity_agrees(g):
+    # read off the images, letter by letter, against the count matrix
+    on_images = all(
+        Z4.index_of(y) >= i for i, img in enumerate(g.images) for y, _ in img.runs)
+    assert on_images == upper_triangular(g)

@@ -42,6 +42,23 @@ def test_power_gadget_k2_matrix_is_kron_square():
     )
 
 
+def dense_kron(a, b):
+    ka, kb = len(a), len(b)
+    return [[a[i // kb][j // kb] * b[i % kb][j % kb] for j in range(ka * kb)]
+            for i in range(ka * kb)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_power_gadget_block_is_kronecker_power(k):
+    n = [[1, 1], [0, 1]]
+    expected = n
+    for _ in range(k - 1):
+        expected = dense_kron(expected, n)
+    _, level, _, block = _gadget((k,))
+    assert len(level) == 2**k
+    assert block == matsem.from_dense(expected)
+
+
 def test_power_gadget_counts_by_explicit_application():
     c, level, g1, _ = _gadget((2,))
     w = c.witness
@@ -191,6 +208,40 @@ def test_compile_mixed():
     p = poly.polynomial(2, {(2, 0): 1, (0, 1): 2})
     c = mtriple.compile_polynomial(p)
     assert mtriple.compute_word_level(c, (3, 5)) == 19
+
+
+def test_compile_doubles():
+    # a coefficient repeats the witness; it adds no letters
+    single = mtriple.compile_polynomial(x(1, 1))
+    c = mtriple.compile_polynomial(poly.polynomial(1, {(1,): 3}))
+    assert c.triple == single.triple
+    assert c.witness == lang.word_power(single.witness, 3)
+    assert mtriple.compute_word_level(c, (2,)) == 6
+
+
+def test_compile_mixed_monomials():
+    p = poly.polynomial(2, {(2, 0): 1, (0, 1): 1})
+    c = mtriple.compile_polynomial(p)
+    assert mtriple.compute_word_level(c, (3, 4)) == 13
+    # one first-level block per term: 2^2 letters for x1^2, 2 for x2^0
+    assert len(c.triple.level(1)) == 6
+    assert len(c.witness.runs) == 2
+
+
+def test_compile_with_constant():
+    c = mtriple.compile_polynomial(poly.polynomial(1, {(1,): 2, (0,): 1}))
+    for n in (1, 7, 30):
+        assert mtriple.compute_word_level(c, (n,)) == 2 * n + 1
+
+
+def test_repeat_witness_computes_the_multiple():
+    a = mtriple.monomial_mtriple([1])
+    c = mtriple.repeat_witness(a, 4)
+    assert c.polynomial == poly.polynomial(1, {(1,): 4})
+    assert mtriple.compute_word_level(c, (5,)) == 20
+    for times in (0, -1):
+        with pytest.raises(ValueError):
+            mtriple.repeat_witness(a, times)
 
 
 def test_compile_rejects_zero():
@@ -449,6 +500,32 @@ small_polys = st.builds(
 def test_compiled_maps_agree_with_evaluation(p, point):
     c = mtriple.compile_polynomial(p)
     assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
+
+
+def matrix_level(c, point):
+    """The count-transport evaluation: the witness's letter counts through the
+    count matrices of g1^n and g2, read off at the final letter."""
+    m1, m2 = morph.matrix_of(c.triple.g1), morph.matrix_of(c.triple.g2)
+    vec = morph.parikh_vector(c.witness)
+    for n in point:
+        vec = matsem.vec_mat(matsem.vec_mat(vec, matsem.mat_pow(m1, n)), m2)
+    final = c.triple.alphabet.index_of(c.triple.final_letter)
+    assert set(vec) <= {final}, "iteration must end in the final letter"
+    return vec.get(final, 0)
+
+
+@given(small_polys, st.tuples(st.integers(1, 3), st.integers(1, 3)))
+@settings(max_examples=15, deadline=None)
+def test_word_and_matrix_paths_agree(p, point):
+    c = mtriple.compile_polynomial(p)
+    assert mtriple.compute_word_level(c, point) == matrix_level(c, point)
+
+
+def test_matrix_path_reaches_a_huge_point():
+    # words of length n^2 are out of reach; the count matrices are not
+    c = mtriple.compile_polynomial(poly.polynomial(2, {(2, 1): 1, (0, 0): 3}))
+    n = 10**6
+    assert matrix_level(c, (n, 7)) == 7 * n**2 + 3
 
 
 def test_final_letter_absent_before_last_step():

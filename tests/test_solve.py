@@ -109,6 +109,14 @@ def test_extract_inverts_witness_words(n, s, rest):
     assert extract_argument_tuple(dimension, n, s, x) == (n, s) + tuple(rest)
 
 
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
+def test_witness_word_length_is_entries_plus_raises(rest):
+    # the length the equivalence report compares with the solver bound
+    x = encode.argument_word(rest)
+    assert len(x) == sum(rest) + len(rest)
+    assert x.count(2) == len(rest)
+
+
 # ---------------------------------------------------------------------------
 # Matrix-level solvers
 # ---------------------------------------------------------------------------
