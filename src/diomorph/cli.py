@@ -43,7 +43,10 @@ SUITES = ("conditions", "staged", "collapse", "functoriality")
 # ---------------------------------------------------------------- plumbing
 
 
-def _env_int(name: str) -> int | None:
+def _flag_or_env(flag: int | None, name: str) -> int | None:
+    """The flag's value if given, else the environment variable ``name``, else None."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return None
@@ -54,18 +57,6 @@ def _env_int(name: str) -> int | None:
     if value < 1:
         raise ValueError(f"environment variable {name} must be >= 1, got {value}")
     return value
-
-
-def _effective_cap(flag: int | None) -> int | None:
-    if flag is not None:
-        return flag
-    return _env_int("DIOMORPH_EXPANSION_CAP")
-
-
-def _effective_budget(flag: int | None) -> int | None:
-    if flag is not None:
-        return flag
-    return _env_int("DIOMORPH_ALPHABET_BUDGET")
 
 
 def _read_doc(source: str) -> dict:
@@ -138,7 +129,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     q = _load_polynomial(args.q)
     if args.t is not None and args.t != p.arity:
         raise ValueError(f"-t {args.t} does not match polynomial arity {p.arity}")
-    enc = encode.build_encoder(p, q, budget=_effective_budget(args.alphabet_budget))
+    budget = _flag_or_env(args.alphabet_budget, "DIOMORPH_ALPHABET_BUDGET")
+    enc = encode.build_encoder(p, q, budget=budget)
     _write_output(interchange.dumps(interchange.encoder_to_doc(enc)), args.output)
     return EXIT_OK
 
@@ -182,16 +174,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.encoder)
-    cap = _effective_cap(args.cap)
+    cap = _flag_or_env(args.cap, "DIOMORPH_EXPANSION_CAP")
     levels = ("matrix", "morphism") if args.level == "both" else (args.level,)
     pt = solve.point(enc, args.n, args.s, args.max_len)
     results: list[solve.SolveResult] = []
     for level in levels:
         if level == "matrix":
             results.append((solve.solve_two_unknowns if args.two else solve.solve_one_unknown)(pt))
+        elif args.two:
+            results.append(solve.solve_two_unknowns_words(pt))
         else:
-            word_solver = solve.solve_two_unknowns_words if args.two else solve.solve_one_unknown_words
-            results.append(word_solver(pt, cap=cap))
+            results.append(solve.solve_one_unknown_words(pt, cap=cap))
     if args.format == "machine" and len(results) == 2:
         text = interchange.dumps(
             {level: r.to_doc() for level, r in zip(levels, results)}
@@ -207,7 +200,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.encoder)
-    cap = _effective_cap(args.cap)
+    cap = _flag_or_env(args.cap, "DIOMORPH_EXPANSION_CAP")
     if args.suite == "conditions":
         report = encode.condition_suite(enc)
     elif args.suite == "staged":
@@ -252,7 +245,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         points,
         args.oracle_bound,
         args.solver_bound,
-        cap=_effective_cap(args.cap),
+        cap=_flag_or_env(args.cap, "DIOMORPH_EXPANSION_CAP"),
         encoder=enc,
     )
     _write_output(report.render(args.format), args.output)

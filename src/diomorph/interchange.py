@@ -89,7 +89,7 @@ def alphabet_from_doc(doc: dict) -> LeveledAlphabet:
 
 def morphism_to_doc(m: Morphism) -> dict:
     """Image table only; the caller records the alphabet separately."""
-    return {"images": {z: text(m.image(z)) for z in m.domain.letters}}
+    return {"images": {z: text(m.image(z)) for z in m.alphabet.letters}}
 
 
 def morphism_from_doc(doc: dict, alphabet: LeveledAlphabet) -> Morphism:

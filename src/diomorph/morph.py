@@ -1,9 +1,11 @@
-"""Free-monoid morphisms as per-letter image tables.
+"""Endomorphisms of a free monoid as per-letter image tables.
 
-A morphism is determined by the image word of each domain letter and extends
-homomorphically to all words.  Images act on the right and composition reads
-left to right: ``compose(f, g)`` is the map "apply f, then g", so
-``apply(compose(f, g), w) == apply(g, apply(f, w))``.
+Every morphism the program builds maps words over one leveled alphabet to
+words over the same alphabet, so a :class:`Morphism` holds one alphabet, its
+domain and codomain.  It is determined by the image word of each letter and
+extends homomorphically to all words.  Images act on the right and
+composition reads left to right: ``compose(f, g)`` is the map "apply f, then
+g", so ``apply(compose(f, g), w) == apply(g, apply(f, w))``.
 
 The bridge to matrices: ``matrix_of(g)`` has as row i the letter counts of
 the image of letter i.  Counting letters before or after applying g is the
@@ -32,63 +34,53 @@ from .lang import LeveledAlphabet, Letter, Word
 
 @dataclass(frozen=True)
 class Morphism:
-    domain: LeveledAlphabet
-    codomain: LeveledAlphabet
-    images: tuple[Word, ...]  # aligned with domain.letters
+    alphabet: LeveledAlphabet
+    images: tuple[Word, ...]  # aligned with alphabet.letters
 
     def __post_init__(self):
-        if len(self.images) != len(self.domain.letters):
+        alphabet = self.alphabet
+        if len(self.images) != len(alphabet.letters):
             raise AlphabetMismatch("one image per domain letter")
-        codomain = self.codomain
-        if any(img.alphabet is not codomain and img.alphabet != codomain for img in self.images):
+        if any(img.alphabet is not alphabet and img.alphabet != alphabet for img in self.images):
             raise AlphabetMismatch("images must live over the codomain")
 
     def __eq__(self, other):
         """Equal alphabets, then equal image runs.
 
-        Exact because every image lives over the codomain (checked on
-        construction): over equal codomains, two images are equal words
+        Exact because every image lives over the alphabet (checked on
+        construction): over equal alphabets, two images are equal words
         exactly when their runs are.  Comparing whole images would compare
-        the codomain once per image.
+        the alphabet once per image.
         """
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.domain == other.domain and self.codomain == other.codomain
+        return (self.alphabet == other.alphabet
                 and all(a.runs == b.runs for a, b in zip(self.images, other.images)))
 
-    @property
-    def is_endomorphism(self) -> bool:
-        return self.domain == self.codomain
-
     def image(self, letter: Letter) -> Word:
-        return self.images[self.domain.index_of(letter)]
+        return self.images[self.alphabet.index_of(letter)]
 
     def table(self) -> dict[Letter, Word]:
-        return dict(zip(self.domain.letters, self.images))
+        return dict(zip(self.alphabet.letters, self.images))
 
     def __str__(self) -> str:
-        rows = [f"{z} -> {lang.text(img) or 'ε'}" for z, img in zip(self.domain.letters, self.images)]
+        rows = [f"{z} -> {lang.text(img) or 'ε'}" for z, img in zip(self.alphabet.letters, self.images)]
         return "\n".join(rows)
 
 
-def morphism(domain: LeveledAlphabet, codomain: LeveledAlphabet,
-             table: Mapping[Letter, Word]) -> Morphism:
+def endomorphism(alphabet: LeveledAlphabet, table: Mapping[Letter, Word]) -> Morphism:
     """Build a morphism from a letter -> image word table (must be total)."""
-    missing = [z for z in domain.letters if z not in table]
+    missing = [z for z in alphabet.letters if z not in table]
     if missing:
         raise AlphabetMismatch(f"no image given for letters {missing}")
-    extra = [z for z in table if z not in domain]
+    extra = [z for z in table if z not in alphabet]
     if extra:
         raise AlphabetMismatch(f"images given for letters outside the domain: {extra}")
-    return Morphism(domain, codomain, tuple(table[z] for z in domain.letters))
-
-
-def endomorphism(alphabet: LeveledAlphabet, table: Mapping[Letter, Word]) -> Morphism:
-    return morphism(alphabet, alphabet, table)
+    return Morphism(alphabet, tuple(table[z] for z in alphabet.letters))
 
 
 def identity_morphism(alphabet: LeveledAlphabet) -> Morphism:
-    return Morphism(alphabet, alphabet, tuple(lang.word(alphabet, [z]) for z in alphabet.letters))
+    return Morphism(alphabet, tuple(lang.word(alphabet, [z]) for z in alphabet.letters))
 
 
 def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
@@ -99,10 +91,10 @@ def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
     and are therefore cap-guarded.  A one-letter word maps to the image
     object itself, under the same cap.
     """
-    if w.alphabet is not m.domain and w.alphabet != m.domain:  # identity first: no __eq__ call
+    if w.alphabet is not m.alphabet and w.alphabet != m.alphabet:  # identity first: no __eq__ call
         raise AlphabetMismatch("word is not over the morphism's domain")
     limit = expansion_cap(cap)
-    position = m.domain._positions  # every letter of w is in the domain
+    position = m.alphabet._positions  # every letter of w is in the alphabet
     if len(w.runs) == 1 and w.runs[0][1] == 1:  # one letter: its image, shared
         letter = w.runs[0][0]
         img = m.images[position[letter]]
@@ -129,7 +121,7 @@ def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
             runs[-1] = (piece[0][0], runs[-1][1] + piece[0][1])
             piece = piece[1:]
         runs.extend(piece)
-    return lang._normal_word(m.codomain, tuple(runs))
+    return lang._normal_word(m.alphabet, tuple(runs))
 
 
 def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:
@@ -138,11 +130,11 @@ def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:
     Where f maps a letter to one letter, the composite shares g's image of
     it; every empty image is one shared empty word.
     """
-    if f.codomain != g.domain:
-        raise AlphabetMismatch("codomain of the first morphism must be the domain of the second")
-    empty = lang._normal_word(g.codomain, ())
+    if f.alphabet != g.alphabet:
+        raise AlphabetMismatch("the two morphisms must share one alphabet")
+    empty = lang._normal_word(g.alphabet, ())
     images = []
-    for letter, img in zip(f.domain.letters, f.images):
+    for letter, img in zip(f.alphabet.letters, f.images):
         if not img.runs:
             images.append(empty)
             continue
@@ -151,7 +143,7 @@ def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:
         except ExpansionCapExceeded as exc:
             raise ExpansionCapExceeded(
                 exc.needed, exc.cap, f"composing: image of letter {letter!r} is too large") from None
-    return Morphism(f.domain, g.codomain, tuple(images))
+    return Morphism(f.alphabet, tuple(images))
 
 
 def parikh_vector(w: Word) -> matsem.Vector:
@@ -161,11 +153,9 @@ def parikh_vector(w: Word) -> matsem.Vector:
 
 def matrix_of(g: Morphism) -> matsem.SparseMatrix:
     """The letter-count matrix: row i counts the letters in the image of letter i."""
-    if not g.is_endomorphism:
-        raise AlphabetMismatch("the letter-count matrix needs an endomorphism")
-    # images live over the codomain, the domain: their counts are indexed alike
+    # images live over the alphabet: their counts are indexed like its letters
     rows = {i: img.counts for i, img in enumerate(g.images) if img.runs}
-    return matsem._from_rows(len(g.domain), rows)
+    return matsem._from_rows(len(g.alphabet), rows)
 
 
 def is_zero_morphism(g: Morphism) -> bool:

@@ -9,20 +9,20 @@ witness word w leaves a power of e alone, and the exponent — as a function of
 
 Built here:
 
-* validation of the five defining conditions (plus triangularity) with a
-  per-condition report that names violating letters;
+* validation of the five defining conditions (plus triangularity): a table
+  from each condition's name to the letters that violate it;
 * monomial systems, whose level for an exponent k is the power gadget: 2^k
   letters whose n-fold iteration turns the first into n^k copies of the
   last (rows of the k-fold Kronecker power of [[1,1],[0,1]]), or two letters
   a -> b, b -> b for exponent zero;
-* one layout routine that sets any number of systems side by side, level by
-  level, in a single pass (a disjoint union sharing one e), with
-  coefficients entering as witness repetitions;
-* the same layout for whole polynomials built from their exponents alone
-  (``lay_out_monomials``, which the encoder and ``compile_polynomial`` use):
-  every gadget is named straight into the merged alphabet, without a system
-  or a renaming per term; ``lay_out`` of ``monomial_parts`` stays as its
-  reference;
+* one letter layout (``_place``) that names any number of systems side by
+  side, level by level, in a single pass (a disjoint union sharing one e);
+* two routines that fill the images into that layout: ``lay_out``
+  translates the images of built systems, with coefficients entering as
+  witness repetitions, and ``lay_out_monomials`` (which the encoder and
+  ``compile_polynomial`` use) writes every gadget straight from the
+  polynomials' exponents, without a system or a renaming per term;
+  ``lay_out`` of ``monomial_parts`` stays as its reference;
 * word-level evaluation of a compiled map at a point.
 """
 
@@ -49,43 +49,8 @@ CONDITION_NAMES = (
 
 
 @dataclass(frozen=True)
-class ConditionResult:
-    name: str
-    passed: bool
-    violations: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        if self.passed:
-            return f"{self.name}: ok"
-        listed = ", ".join(self.violations) if self.violations else "?"
-        return f"{self.name}: FAIL ({listed})"
-
-
-@dataclass(frozen=True)
-class MTripleReport:
-    conditions: tuple[ConditionResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    @property
-    def failed_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.conditions if not c.passed)
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.conditions)
-
-
-@dataclass(frozen=True)
 class MTriple:
-    """A candidate leveled system; see validate_mtriple for the conditions."""
+    """A candidate leveled system; see :func:`validate` for the conditions."""
 
     alphabet: LeveledAlphabet
     g1: Morphism
@@ -115,20 +80,18 @@ class ComputableMap:
         assert self.polynomial.arity == self.triple.dimension
 
 
-def validate_mtriple(alphabet: LeveledAlphabet, g1: Morphism, g2: Morphism,
-                     dimension: int) -> MTripleReport:
-    """Check every defining condition, reporting violating letters per condition."""
-    for name, g in (("g1", g1), ("g2", g2)):
-        if not (g.is_endomorphism and g.domain == alphabet):
-            raise DimensionMismatch(f"{name} must be an endomorphism over the candidate alphabet")
-
+def validate(triple: MTriple) -> dict[str, tuple[str, ...]]:
+    """The letters violating each defining condition, keyed by the names of
+    ``CONDITION_NAMES`` in that order; a condition holds when its tuple is
+    empty.  ``structural`` lists descriptions instead of letters, and
+    ``triangular`` prefixes each letter with the generator that breaks it."""
+    alphabet, g1, g2, dimension = triple.alphabet, triple.g1, triple.g2, triple.dimension
     structural: list[str] = []
     if dimension < 1:
         structural.append(f"dimension {dimension} < 1")
     if alphabet.level_count != dimension + 1:
         structural.append(f"{alphabet.level_count} levels for dimension {dimension}")
     levels = alphabet.levels
-    top = len(levels)  # the level that must hold only the final letter
 
     preserving = [
         a
@@ -168,26 +131,18 @@ def validate_mtriple(alphabet: LeveledAlphabet, g1: Morphism, g2: Morphism,
         final_letter_erased=erased,
         triangular=triangular,
     )
-    return MTripleReport(tuple(
-        ConditionResult(name, not found[name], tuple(found[name])) for name in CONDITION_NAMES
-    ))
-
-
-def validate(triple: MTriple) -> MTripleReport:
-    return validate_mtriple(triple.alphabet, triple.g1, triple.g2, triple.dimension)
+    return {name: tuple(found[name]) for name in CONDITION_NAMES}
 
 
 # ------------------------------------------------------------------ power gadgets
 
-def _superset_masks(mask: int, k: int) -> list[int]:
-    return [j for j in range(2**k) if j | mask == j]
-
-
 def _block_images(exponent: int) -> list[list[int]]:
-    """Per-letter image index lists (0-based) for one level's gadget."""
+    """Per-letter image index lists (0-based) for one level's gadget: letter
+    i maps to the letters whose bit masks are supersets of i's."""
     if exponent == 0:
         return [[1], [1]]  # a -> b, b -> b
-    return [_superset_masks(i, exponent) for i in range(2**exponent)]
+    size = 2**exponent
+    return [[j for j in range(size) if j | i == j] for i in range(size)]
 
 
 # ------------------------------------------------------------------ monomials
@@ -211,16 +166,10 @@ def _monomial_sizes(exponents: Sequence[int], budget: int | None) -> list[int]:
     return sizes
 
 
-def _leveled_names(sizes: Sequence[int]) -> LeveledAlphabet:
-    blocks = [[f"{li}.{j + 1}" for j in range(size)] for li, size in enumerate(sizes, start=1)]
-    blocks.append(["e"])
-    return lang.leveled_alphabet(blocks)
-
-
 def monomial_mtriple(exponents: Sequence[int], budget: int | None = None) -> ComputableMap:
     """The system computing x₁^{α₁} ⋯ x_t^{α_t}, with the first letter as witness."""
     t = len(exponents)
-    alphabet = _leveled_names(_monomial_sizes(exponents, budget))
+    alphabet, _ = _place([_monomial_sizes(exponents, budget)], [""], (), budget, "monomial")
     levels = alphabet.levels
     eps = lang.epsilon(alphabet)
 
@@ -246,53 +195,70 @@ def monomial_mtriple(exponents: Sequence[int], budget: int | None = None) -> Com
 
 # ------------------------------------------------------------------ combination
 
+def _place(level_sizes: Sequence[Sequence[int]], tags: Sequence[str], head: Sequence[Letter],
+           budget: int | None, context: str) -> tuple[LeveledAlphabet, list[list[int]]]:
+    """Name the letters of systems laid side by side, level by level, in one pass.
+
+    ``level_sizes[k]`` lists system k's level sizes, its final letter left
+    out.  Within each level, system k's block follows the blocks of systems
+    1..k-1, and its letters are named "{tag}{level}.{position}", where the
+    positions count only the systems sharing system k's tag ``tags[k]``.
+    The final letter e is shared and the ``head`` letters open the first
+    level.  Returns the merged alphabet and, per system, the index of its
+    first letter in each level, then the index of e.  Errors: differing
+    dimensions, then the merged total against ``budget`` (named by
+    ``context``).
+    """
+    t = len(level_sizes[0])
+    for sizes in level_sizes:
+        if len(sizes) != t:
+            raise DimensionMismatch(f"dimensions {t} and {len(sizes)} differ")
+    starts = [[0] * (t + 1) for _ in level_sizes]
+    letters: list[Letter] = list(head)
+    merged_sizes: list[int] = []
+    for li in range(t):
+        filled = dict.fromkeys(tags, 0)
+        for sizes, tag, start in zip(level_sizes, tags, starts):
+            start[li] = len(letters)
+            at = filled[tag]
+            letters += [f"{tag}{li + 1}.{j}" for j in range(at + 1, at + sizes[li] + 1)]
+            filled[tag] = at + sizes[li]
+        merged_sizes.append(len(letters) - sum(merged_sizes))
+    for start in starts:
+        start[t] = len(letters)
+    letters.append("e")
+    merged_sizes.append(1)
+    limit = alphabet_budget(budget)
+    if len(letters) > limit:
+        raise AlphabetBudgetExceeded(len(letters), limit, context)
+    return LeveledAlphabet(tuple(letters), tuple(merged_sizes)), starts
+
+
 def lay_out(systems: Sequence[ComputableMap], tags: Sequence[str] | None = None,
             head: Sequence[Letter] = (), budget: int | None = None,
             context: str = "side-by-side layout",
             ) -> tuple[LeveledAlphabet, dict[Letter, Word], dict[Letter, Word], list[Word]]:
-    """Lay systems of equal dimension side by side, level by level, in one pass.
+    """Lay systems of equal dimension side by side, as :func:`_place` names them.
 
-    Within each level, system k's block follows the blocks of systems
-    1..k-1, and its letters are named "{tag}{level}.{position}", where the
-    positions count only the systems sharing system k's tag (no tags: one
-    shared empty tag).  The final letter e is shared and the ``head``
-    letters open the first level.  Returns the merged alphabet, the g1 and
-    g2 image tables (every image translated once; the caller supplies the
-    head letters' images) and each system's translated witness.
+    No tags means one shared empty tag.  Returns the merged alphabet, the g1
+    and g2 image tables (every image translated once; the caller supplies
+    the head letters' images) and each system's translated witness.
     """
-    t = systems[0].triple.dimension
-    for c in systems:
-        if c.triple.dimension != t:
-            raise DimensionMismatch(f"dimensions {t} and {c.triple.dimension} differ")
     tags = tags or [""] * len(systems)
-    renamings = [{c.triple.final_letter: "e"} for c in systems]
-    letters: list[Letter] = list(head)
-    sizes: list[int] = []
-    for li in range(1, t + 1):
-        filled = dict.fromkeys(tags, 0)
-        for c, tag, renaming in zip(systems, tags, renamings):
-            for a in c.triple.level(li):
-                filled[tag] += 1
-                renaming[a] = f"{tag}{li}.{filled[tag]}"
-                letters.append(renaming[a])
-        sizes.append(len(letters) - sum(sizes))
-    letters.append("e")
-    sizes.append(1)
-    limit = alphabet_budget(budget)
-    if len(letters) > limit:
-        raise AlphabetBudgetExceeded(len(letters), limit, context)
-    merged = LeveledAlphabet(tuple(letters), tuple(sizes))
-
+    merged, starts = _place([c.triple.alphabet.level_sizes[:-1] for c in systems], tags, head,
+                            budget, context)
     eps = lang.epsilon(merged)
     g1: dict[Letter, Word] = {"e": eps}
     g2: dict[Letter, Word] = {"e": eps}
-    for c, renaming in zip(systems, renamings):
+    witnesses = []
+    for c, start in zip(systems, starts):
         triple = c.triple
+        renaming = {a: merged.letters[at + j]  # the final level's one letter goes to e
+                    for block, at in zip(triple.alphabet.levels, start) for j, a in enumerate(block)}
         for a, image1, image2 in zip(triple.alphabet.letters[:-1], triple.g1.images, triple.g2.images):
             g1[renaming[a]] = lang.translate(image1, renaming, merged)
             g2[renaming[a]] = lang.translate(image2, renaming, merged)
-    witnesses = [lang.translate(c.witness, renaming, merged)
-                 for c, renaming in zip(systems, renamings)]
+        witnesses.append(lang.translate(c.witness, renaming, merged))
     return merged, g1, g2, witnesses
 
 
@@ -305,48 +271,25 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
     Returns what ``lay_out`` returns for the :func:`monomial_parts` of all
     polynomials in order, polynomial k's terms tagged ``tags[k]``, except
     that each polynomial has one witness: its terms' witnesses concatenated.
-    No per-term system is built and nothing is translated: every letter is
-    named "{tag}{level}.{position}" in the merged alphabet at once, each
-    level gadget's image index lists are computed once per exponent, and the
-    images, normal by construction, share one empty word.  Errors are those
-    of that path, in its order: per polynomial, a zero polynomial, then per
-    term the monomial checks; then differing arities; then the merged total
-    against ``budget`` (named by ``context``).
+    No per-term system is built and nothing is translated: the images are
+    filled straight into the merged alphabet, each level gadget's image
+    index lists are computed once per exponent, and the images, normal by
+    construction, share one empty word.  Errors are those of that path, in
+    its order: per polynomial, a zero polynomial, then per term the monomial
+    checks; then differing arities; then the merged total against ``budget``
+    (named by ``context``).
     """
-    for p in polynomials:
+    systems, level_sizes = [], []
+    for k, p in enumerate(polynomials):
         if p.is_zero:
             raise ValueError("cannot compile the zero polynomial")
-        for exponents, _ in p.terms:
-            _monomial_sizes(exponents, budget)
-    t = polynomials[0].arity
-    for p in polynomials:
-        if p.arity != t:
-            raise DimensionMismatch(f"dimensions {t} and {p.arity} differ")
+        for exponents, coeff in p.terms:
+            level_sizes.append(_monomial_sizes(exponents, budget))
+            systems.append((k, exponents, coeff))
     tags = tags or [""] * len(polynomials)
-    systems = [(k, exponents, coeff)
-               for k, p in enumerate(polynomials) for exponents, coeff in p.terms]
-    starts = [[0] * (t + 1) for _ in systems]  # each system's block start per level, then e's
-    letters: list[Letter] = list(head)
-    sizes: list[int] = []
-    for li in range(t):
-        filled = dict.fromkeys(tags, 0)
-        for (k, exponents, _), start in zip(systems, starts):
-            tag = tags[k]
-            start[li] = len(letters)
-            size = 2 ** max(exponents[li], 1)
-            at = filled[tag]
-            letters += [f"{tag}{li + 1}.{j}" for j in range(at + 1, at + size + 1)]
-            filled[tag] = at + size
-        sizes.append(len(letters) - sum(sizes))
-    for start in starts:
-        start[t] = len(letters)
-    letters.append("e")
-    sizes.append(1)
-    limit = alphabet_budget(budget)
-    if len(letters) > limit:
-        raise AlphabetBudgetExceeded(len(letters), limit, context)
-    merged = LeveledAlphabet(tuple(letters), tuple(sizes))
+    merged, starts = _place(level_sizes, [tags[k] for k, _, _ in systems], head, budget, context)
 
+    letters = merged.letters
     single = [(a, 1) for a in letters]  # one shared run per letter
     eps = lang.epsilon(merged)
     g1: dict[Letter, Word] = {"e": eps}

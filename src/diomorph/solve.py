@@ -102,17 +102,16 @@ def extract_argument_tuple(
 ) -> tuple[int, ...]:
     """Parse the full equation word (2,2) + stages(n, s) + x back to a tuple.
 
-    The concatenation must have the exact argument-chain shape: the fixed
-    (2, 2) prefix, then ``dimension`` alternating blocks of ones each closed
-    by a single 2, with nothing trailing.  Raises ValueError otherwise.
+    ``x`` must be ``dimension - 2`` blocks of ones, each closed by a single
+    2, with nothing trailing; the tuple is ``(n, s)`` followed by the block
+    lengths.  Raises ValueError otherwise, or when n or s is below 1.
     """
-    full = (2, 2) + argument_word((n, s)) + tuple(x)
-    if full[:2] != (2, 2):
-        raise ValueError("missing the double-raise prefix")
-    body = full[2:]
+    for entry in (n, s):
+        if entry < 1:
+            raise ValueError(f"argument entries are positive integers, got {entry}")
     blocks: list[int] = []
     run = 0
-    for symbol in body:
+    for symbol in x:
         if symbol == 1:
             run += 1
         elif symbol == 2:
@@ -124,13 +123,11 @@ def extract_argument_tuple(
             raise ValueError(f"unknown generator symbol {symbol!r}")
     if run != 0:
         raise ValueError("trailing level-preserving steps after the last raise")
-    if len(blocks) != dimension:
+    if len(blocks) + 2 != dimension:
         raise ValueError(
-            f"expected {dimension} argument blocks, found {len(blocks)}"
+            f"expected {dimension} argument blocks, found {len(blocks) + 2}"
         )
-    if blocks[0] != n or blocks[1] != s:
-        raise ValueError("parsed blocks do not start with (n, s)")
-    return tuple(blocks)
+    return (n, s) + tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +416,7 @@ def solve_one_unknown_words(pt: Point, cap: int | None = None) -> SolveResult:
     return _search(pt, False, "morphism", decide, "undecidable within the expansion cap")
 
 
-def solve_two_unknowns_words(pt: Point, cap: int | None = None) -> SolveResult:
+def solve_two_unknowns_words(pt: Point) -> SolveResult:
     """Morphism-level pair search ordered by (|x|+|y|, x, y)."""
 
     def decide(x, left, right) -> Verdict:
@@ -559,7 +556,7 @@ def equivalence_report(
         oracle_witness = diophantine_oracle(p, q, n, s, oracle_bound)
         pt = point(enc, n, s, solver_bound)
         results = (solve_one_unknown(pt), solve_two_unknowns(pt),
-                   solve_one_unknown_words(pt, cap=cap), solve_two_unknowns_words(pt, cap=cap))
+                   solve_one_unknown_words(pt, cap=cap), solve_two_unknowns_words(pt))
         matrix_one, matrix_two, morphism_one, morphism_two = results
         caveats: list[str] = []
         agree = len({r.found for r in results}) == 1

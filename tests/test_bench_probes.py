@@ -1,5 +1,6 @@
 """The benchmark's tracer probes functions by name; each must still exist.
-And ``src`` keeps only what the CLI, a probe or a test oracle calls.
+And ``src`` keeps only what the CLI, a probe or a test oracle calls, and
+no function of it takes a parameter that it never reads.
 
 ``perfbench/tracer.py`` reports a probed function that is gone as absent
 and drops its metrics from the result line, which then lacks metrics the
@@ -28,6 +29,7 @@ TEST_ONLY = {
     "mtriple.monomial_parts": "with lay_out, the reference that lay_out_monomials is compared against",
     "matsem.from_dense": "builds test matrices from dense rows",
     "lang.flat_alphabet": "builds one-level test alphabets",
+    "lang.leveled_alphabet": "builds test alphabets from their levels",
     "lang.word_concat": "concatenates the reference layout's witnesses",
     "poly.add": "builds test polynomials",
     "poly.zero": "builds the zero polynomial that compiling refuses",
@@ -129,3 +131,32 @@ def test_src_keeps_only_what_the_cli_a_probe_or_a_test_oracle_calls():
     assert sorted(_unreached(program + list(TEST_ONLY))) == []
     called = set(TEST_ONLY) - _unreached(program)
     assert called == set(), "the program calls these now: drop them from TEST_ONLY"
+
+
+def _unread_parameters():
+    """("module.function" or "module.Class.method", parameter) for every
+    parameter of a module-level function or method of ``src`` that its body
+    never reads.  A read inside a nested function counts; the nested
+    function's own parameters are not checked."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef):
+                functions = [(f"{path.stem}.{stmt.name}", stmt)]
+            elif isinstance(stmt, ast.ClassDef):
+                functions = [(f"{path.stem}.{stmt.name}.{item.name}", item)
+                             for item in stmt.body if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for qualified, fn in functions:
+                args = fn.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [
+                    a for a in (args.vararg, args.kwarg) if a is not None]
+                read = {node.id for top in fn.body for node in ast.walk(top)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                unread += [(qualified, a.arg) for a in params if a.arg not in read]
+    return unread
+
+
+def test_every_parameter_of_src_is_read():
+    assert _unread_parameters() == []

@@ -297,7 +297,7 @@ def ref_mat_vec(a, vec):
 
 
 def ref_matrix_of(g):
-    return ref_matrix(len(g.domain), [
+    return ref_matrix(len(g.alphabet), [
         (i, j, n) for i, img in enumerate(g.images) for j, n in morph.parikh_vector(img).items()])
 
 

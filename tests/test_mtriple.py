@@ -124,8 +124,8 @@ def test_monomial_with_zero_exponent():
 
 def test_monomial_validates():
     c = mtriple.monomial_mtriple([2, 0, 1])
-    report = mtriple.validate(c.triple)
-    assert report.passed, str(report)
+    violations = mtriple.validate(c.triple)
+    assert not any(violations.values()), violations
 
 
 def test_monomial_alphabet_shape():
@@ -156,7 +156,7 @@ def test_direct_sum_shape():
     assert left.triple is right.triple
     assert left.triple.alphabet.level_sizes == (4, 1)
     assert left.triple.final_letter == "e"
-    assert mtriple.validate(left.triple).passed
+    assert not any(mtriple.validate(left.triple).values())
 
 
 def test_direct_sum_witnesses_still_compute():
@@ -179,7 +179,7 @@ def test_compile_square_plus_two():
     p = poly.polynomial(1, {(2,): 1, (0,): 2})
     c = mtriple.compile_polynomial(p)
     assert mtriple.compute_word_level(c, (3,)) == 11
-    assert mtriple.validate(c.triple).passed
+    assert not any(mtriple.validate(c.triple).values())
 
 
 def test_compile_product():
@@ -443,9 +443,8 @@ def test_monomial_layout_raises_in_the_reference_order(polys, budget):
 def test_validation_rejects_degenerate_dimension():
     alphabet = lang.flat_alphabet(["e"])
     erase = morph.endomorphism(alphabet, {"e": lang.epsilon(alphabet)})
-    report = mtriple.validate_mtriple(alphabet, erase, erase, 0)
-    assert not report.passed
-    assert "structural" in report.failed_names
+    violations = mtriple.validate(mtriple.MTriple(alphabet, erase, erase, 0))
+    assert violations["structural"] == ("dimension 0 < 1",)
 
 
 def test_validation_names_violating_letters():
@@ -455,12 +454,11 @@ def test_validation_names_violating_letters():
     keep = morph.endomorphism(
         alphabet, {"z1": lang.word(alphabet, ["z1"]), "e": lang.epsilon(alphabet)}
     )
-    report = mtriple.validate_mtriple(alphabet, g1, keep, 1)
-    assert not report.passed
-    assert report.condition("level_raising").violations == ("z1",)
-    assert report.condition("square_erasing").violations == ("z1",)
+    violations = mtriple.validate(mtriple.MTriple(alphabet, g1, keep, 1))
+    assert violations["level_raising"] == ("z1",)
+    assert violations["square_erasing"] == ("z1",)
     # g1 = identity keeps e, violating the final-letter condition
-    assert report.condition("final_letter_erased").violations == ("e",)
+    assert violations["final_letter_erased"] == ("e",)
 
 
 def test_validation_flags_below_diagonal_images():
@@ -475,11 +473,11 @@ def test_validation_flags_below_diagonal_images():
         {"z1": lang.epsilon(alphabet), "z2": lang.word(alphabet, ["e"]),
          "e": lang.epsilon(alphabet)},
     )
-    report = mtriple.validate_mtriple(alphabet, g1, g2, 1)
-    assert report.failed_names == ("triangular",)
-    assert report.condition("triangular").violations == ("g1:z2",)
+    violations = mtriple.validate(mtriple.MTriple(alphabet, g1, g2, 1))
+    assert [name for name, letters in violations.items() if letters] == ["triangular"]
+    assert violations["triangular"] == ("g1:z2",)
     # z2 -> z1 stays inside level 1, so level preservation itself is fine
-    assert report.condition("level_preserving").passed
+    assert violations["level_preserving"] == ()
 
 
 # ---------------------------------------------------------------- invariants

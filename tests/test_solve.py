@@ -85,16 +85,21 @@ def test_extract_argument_tuple_round_trip():
 
 
 def test_extract_argument_tuple_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        extract_argument_tuple(3, 1, 4, (2,))  # empty block before the raise
-    with pytest.raises(ValueError):
-        extract_argument_tuple(3, 1, 4, (1, 1, 2, 1))  # trailing ones
-    with pytest.raises(ValueError):
-        extract_argument_tuple(3, 1, 4, ())  # too few blocks
-    with pytest.raises(ValueError):
-        extract_argument_tuple(2, 1, 4, (1, 2))  # too many blocks
-    with pytest.raises(ValueError):
-        extract_argument_tuple(3, 1, 4, (1, 3, 2))  # unknown symbol
+    # the messages reach report output as caveats; "found N" counts n and s
+    cases = [
+        ((3, 1, 4, (2,)), "empty block of level-preserving steps"),
+        ((3, 1, 4, (1, 1, 2, 1)), "trailing level-preserving steps after the last raise"),
+        ((3, 1, 4, ()), "expected 3 argument blocks, found 2"),
+        ((2, 1, 4, (1, 2)), "expected 2 argument blocks, found 3"),
+        ((3, 1, 4, (1, 3, 2)), "unknown generator symbol 3"),
+        ((3, 0, 4, (1, 2)), "argument entries are positive integers, got 0"),
+        ((3, 1, -1, (1, 2)), "argument entries are positive integers, got -1"),
+        ((3, 0, -1, (1, 2)), "argument entries are positive integers, got 0"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            extract_argument_tuple(*args)
+        assert str(err.value) == message, args
 
 
 @settings(max_examples=40, deadline=None)
