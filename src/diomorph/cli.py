@@ -323,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="matrix",
         help="where equality is tested",
     )
-    s.add_argument("--cap", type=_positive, default=None, help="expansion cap override")
+    s.add_argument("--cap", type=_positive, default=None,
+                   help="expansion cap of the one-unknown morphism-level search only "
+                   "(--level morphism or both, without --two)")
     add_format(s)
     add_common(s)
     s.set_defaults(func=_cmd_solve)
@@ -333,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=SUITES, required=True)
     v.add_argument("--bound", type=_positive, default=2, help="argument box for staged checks")
     v.add_argument("--max-len", type=_positive, default=3, help="word bound for collapse/functoriality")
-    v.add_argument("--cap", type=_positive, default=None)
+    v.add_argument("--cap", type=_positive, default=None,
+                   help="expansion cap of the staged and functoriality suites")
     add_format(v)
     add_common(v)
     v.set_defaults(func=_cmd_verify)
@@ -348,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--s-to", type=_positive, default=None)
     r.add_argument("--oracle-bound", type=_positive, required=True)
     r.add_argument("--solver-bound", type=_nonnegative, required=True)
-    r.add_argument("--cap", type=_positive, default=None)
+    r.add_argument("--cap", type=_positive, default=None,
+                   help="expansion cap of the morphism-level witness confirmation")
     add_format(r)
     add_common(r)
     r.set_defaults(func=_cmd_report)

@@ -44,6 +44,7 @@ from .lang import LeveledAlphabet, Letter, Word, epsilon, letter_power, word
 from .morph import (
     Morphism,
     apply,
+    apply_stages,
     compose,
     endomorphism,
     identity_morphism,
@@ -197,11 +198,13 @@ def q_side_word(n: int, s: int) -> tuple[int, ...]:
 def apply_generator_word(
     enc: Encoder, start: Word, gens: Iterable[int], cap: int | None = None
 ) -> Word:
-    """Apply the composite named by ``gens`` to a word, one stage at a time."""
-    current = start
-    for symbol in gens:
-        current = apply(enc.generator(symbol), current, cap=cap)
-    return current
+    """Apply the composite named by ``gens`` to a word, under the expansion cap.
+
+    The word, or the cap verdict, is that of applying the generators one
+    stage at a time; :func:`diomorph.morph.apply_stages` decides the cap from
+    letter counts and builds each reachable letter's image once.
+    """
+    return apply_stages([enc.generator(symbol) for symbol in gens], start, cap)
 
 
 def word_morphism(enc: Encoder, gens: Iterable[int], cap: int | None = None) -> Morphism:
@@ -653,9 +656,9 @@ def functoriality_suite(enc: Encoder, max_len: int = 4, cap: int | None = None) 
     reuses them), and a word keeps its letter counts, so a shared image is
     counted once, not once per composite.  Words whose composite exceeds
     the expansion cap cannot be materialized; for those the suite verifies
-    the rows of the matrix product against stage-by-stage word trajectories
-    of a fixed sample of light letters, each under the expansion cap
-    ``PROBE_CAP``, and flags the check as partial.
+    the rows of the matrix product against the word trajectories of a fixed
+    sample of light letters, each under the expansion cap ``PROBE_CAP``,
+    and flags the check as partial.
     """
     checks: list[CheckResult] = []
     abc = enc.alphabet

@@ -19,12 +19,20 @@ morphism's image object itself, so ``compose(f, g)`` reuses g's images
 wherever f maps a letter to one letter, and every empty image of a composite
 is one shared empty word.  A word keeps its letter counts (``Word.counts``)
 and ``matrix_of`` takes its rows from them, so a shared image is counted once.
+
+A sequence of morphisms applied in turn (``apply_stages``) gives the word,
+or the expansion-cap verdict, of chained ``apply`` calls.  The same counts
+decide the cap: each stage's count that ``apply`` checks lies between two
+bounds read off the letter counts, so most trajectories are decided before
+any stage word is built, and the word is then made from each reachable
+letter's image under the remaining stages.  Both paths share ``apply``'s
+run-concatenation loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import lang, matsem
 from .errors import AlphabetMismatch, ExpansionCapExceeded
@@ -83,6 +91,37 @@ def identity_morphism(alphabet: LeveledAlphabet) -> Morphism:
     return Morphism(alphabet, tuple(lang.word(alphabet, [z]) for z in alphabet.letters))
 
 
+def _concatenate(images, position: Mapping[Letter, int], runs, limit) -> tuple[tuple[Letter, int], ...]:
+    """Runs of the images of ``runs``, concatenated in normal form.
+
+    The image of a run a^n is (image of a)^n, with the image of a letter at
+    ``images[position[a]]``.  The cap counts the runs of the plain
+    concatenation up to each multi-run image, so it raises exactly when
+    that count, at the last multi-run image, exceeds ``limit``.
+    """
+    out: list[tuple[Letter, int]] = []
+    unmerged = 0  # runs of the plain concatenation of images, which the cap counts
+    for letter, count in runs:
+        img = images[position[letter]].runs
+        if len(img) == 1:
+            unmerged += 1
+            piece = ((img[0][0], img[0][1] * count),)
+        elif img:
+            unmerged += len(img) * count
+            if unmerged > limit:
+                raise ExpansionCapExceeded(
+                    unmerged, limit, f"image of run {letter}^{count} under application")
+            # img^count is normal unless img starts and ends with the same letter
+            piece = lang._normalize_runs(img * count) if img[0][0] == img[-1][0] else img * count
+        else:
+            continue
+        if out and out[-1][0] == piece[0][0]:
+            out[-1] = (piece[0][0], out[-1][1] + piece[0][1])
+            piece = piece[1:]
+        out.extend(piece)
+    return tuple(out)
+
+
 def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
     """Homomorphic extension of m to a word, in run form.
 
@@ -101,27 +140,84 @@ def apply(m: Morphism, w: Word, cap: int | None = None) -> Word:
         if len(img.runs) > limit:  # limit >= 1, so as below only multi-run images are capped
             raise ExpansionCapExceeded(len(img.runs), limit, f"image of run {letter}^1 under application")
         return img
-    runs: list[tuple[Letter, int]] = []
-    unmerged = 0  # runs of the plain concatenation of images, which the cap counts
-    for letter, count in w.runs:
-        img = m.images[position[letter]].runs
-        if len(img) == 1:
-            unmerged += 1
-            piece = ((img[0][0], img[0][1] * count),)
-        elif img:
-            unmerged += len(img) * count
-            if unmerged > limit:
-                raise ExpansionCapExceeded(
-                    unmerged, limit, f"image of run {letter}^{count} under application")
-            # img^count is normal unless img starts and ends with the same letter
-            piece = lang._normalize_runs(img * count) if img[0][0] == img[-1][0] else img * count
-        else:
-            continue
-        if runs and runs[-1][0] == piece[0][0]:
-            runs[-1] = (piece[0][0], runs[-1][1] + piece[0][1])
-            piece = piece[1:]
-        runs.extend(piece)
-    return lang._normal_word(m.alphabet, tuple(runs))
+    return lang._normal_word(m.alphabet, _concatenate(m.images, position, w.runs, limit))
+
+
+def apply_stages(stages: Sequence[Morphism], w: Word, cap: int | None = None) -> Word:
+    """The word that applying each stage in turn to w gives, under the same cap.
+
+    The result, or the raise of :class:`ExpansionCapExceeded`, is that of
+    ``apply(stages[-1], ... apply(stages[0], w, cap) ..., cap)``, but the
+    stage words are not built when letter counts decide the cap:
+
+    * The letter counts of every stage word follow from those of the start
+      word and the images' counts, stage by stage.  At each stage the count
+      that ``apply`` checks is at least ``lower``, the runs of the
+      multi-run images times the counts of their letters, and at most
+      ``lower`` plus a bound on the runs of the word it is given; that bound
+      starts at the start word's runs and grows by ``lower`` per stage.
+      A stage without multi-run images is not checked at all.
+    * If some stage's lower bound exceeds the cap, the chain raises.  If
+      every checked stage's upper bound fits, it does not: then each
+      reachable letter's image under the remaining stages is built once,
+      from the last stage back, and the start word is mapped through them.
+      Each such image is a factor of the result, so no more is built than
+      the result holds.
+    * Otherwise the stages are applied one by one, which decides the cap
+      exactly.
+
+    Every stage must be over w's alphabet.
+    """
+    for m in stages:
+        if w.alphabet is not m.alphabet and w.alphabet != m.alphabet:
+            raise AlphabetMismatch("word is not over the morphism's domain")
+    if not stages:
+        return w
+    limit = expansion_cap(cap)
+    reached: list[Iterable[int]] = []  # positions of the letters each stage is given
+    counts = w.counts
+    upper = len(w.runs)
+    decided = True
+    for k, m in enumerate(stages, 1):
+        images = m.images
+        lower = 0
+        for i, count in counts.items():
+            if len(images[i].runs) > 1:
+                lower += len(images[i].runs) * count
+        if lower > limit:
+            raise ExpansionCapExceeded(
+                lower, limit, f"lower bound from letter counts at stage {k} of {len(stages)}")
+        upper += lower
+        if lower and upper > limit:
+            decided = False
+        reached.append(counts.keys())
+        if k < len(stages):  # the counts the next stage is given
+            after: dict[int, int] = {}
+            for i, count in counts.items():
+                for j, c in images[i].counts.items():
+                    after[j] = after.get(j, 0) + c * count
+            counts = after
+    if not decided:
+        for m in stages:
+            w = apply(m, w, cap)
+        return w
+    alphabet = w.alphabet
+    position = alphabet._positions
+    unlimited = float("inf")  # the stages fit the cap, and each image is a factor of the result
+    later: Sequence[Word] | dict[int, Word] = stages[-1].images
+    for k in range(len(stages) - 2, -1, -1):
+        images = stages[k].images
+        now: dict[int, Word] = {}
+        for i in reached[k]:
+            runs = images[i].runs
+            if len(runs) == 1 and runs[0][1] == 1:  # one letter: its later image, shared
+                now[i] = later[position[runs[0][0]]]
+            else:
+                now[i] = lang._normal_word(alphabet, _concatenate(later, position, runs, unlimited))
+        later = now
+    if len(w.runs) == 1 and w.runs[0][1] == 1:
+        return later[position[w.runs[0][0]]]
+    return lang._normal_word(alphabet, _concatenate(later, position, w.runs, unlimited))
 
 
 def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:

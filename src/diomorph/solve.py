@@ -38,7 +38,12 @@ Where control images are materialized (to confirm a bridge verdict, or as
 that fallback), the same trajectory argument saves work: the prefixes
 ``g2²`` and ``g2³`` only route each control letter to a single letter, and
 only two distinct letters (``c2`` and ``c3``) come out, so the shared
-suffix is applied twice rather than eight times.
+suffix is applied twice rather than eight times.  Each suffix goes through
+:func:`diomorph.encode.apply_generator_word`, which decides the expansion
+cap from letter counts and, when the words fit, builds each reachable
+letter's image under the remaining stages once instead of every stage
+word: the middle stages of a trajectory, which can be far larger than its
+end (a power of ``e``), are not built.
 
 The generator matrices are cached on the encoder, and
 :func:`equivalence_report` builds one :class:`Point` per point for its four
@@ -369,7 +374,10 @@ def _word_level_equal(pt: Point, x: Sequence[int], cap: int | None) -> bool | No
     trajectories instead of eight.  The routed words come from the data, so
     were they ever to differ, both sides would be computed.  A reused image
     was computed without tripping the expansion cap, so the verdict is the
-    one that eight separate applications give.
+    one that eight separate applications give.  Each suffix is applied by
+    :func:`diomorph.encode.apply_generator_word`, whose cap verdict is that
+    of applying the suffix one stage at a time, though letter counts
+    usually decide it before any stage word is built.
 
     Returns None when materialization exceeds the expansion cap."""
     enc = pt.enc

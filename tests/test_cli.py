@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line driver."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -452,6 +453,35 @@ def test_verify_detects_corruption(toy_encoder_file, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: g2 differs from the recompilation of p and q\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_verify_staged_cap_names_the_stage_and_the_lower_bound(flags, squares_files, run_python):
+    # c0 under g2 g2 g1 g2 meets g1's image of c2 (24,466 runs) at stage 3;
+    # letter counts decide the cap there, before any stage word is built
+    _, _, enc_path = squares_files
+    run = run_python(
+        *flags, "-m", "diomorph.cli", "verify", "--encoder", enc_path,
+        "--suite", "staged", "--bound", "1", "--cap", "100",
+        capture_output=True, text=True,
+    )
+    assert run.returncode == cli.EXIT_BUDGET
+    assert run.stdout == ""
+    assert run.stderr == ("error: expansion cap exceeded: needs 24466 > cap 100 "
+                          "(lower bound from letter counts at stage 3 of 4)\n")
+
+
+def _cap_help(subcommand):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.help for a in commands.choices[subcommand]._actions if "--cap" in a.option_strings)
+
+
+def test_cap_help_says_where_each_cap_applies():
+    assert _cap_help("solve") == ("expansion cap of the one-unknown morphism-level search only "
+                                  "(--level morphism or both, without --two)")
+    assert _cap_help("verify") == "expansion cap of the staged and functoriality suites"
+    assert _cap_help("report") == "expansion cap of the morphism-level witness confirmation"
 
 
 def test_verify_unknown_suite_is_usage_error(toy_encoder_file, capsys):

@@ -253,6 +253,33 @@ def test_apply_matches_materialized_morphism(toy_encoder):
         assert apply_generator_word(enc, start, gens) == apply(composite, start)
 
 
+@given(st.data())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_apply_generator_word_matches_stage_by_stage_apply(squares_encoder, data):
+    enc = squares_encoder
+    letters = st.sampled_from(CONTROL_LETTERS + enc.alphabet.letters[::97])
+    start = word(enc.alphabet, data.draw(st.lists(letters, min_size=1, max_size=3)))
+    gens = data.draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=6))
+    # the run count of each stage word, as far as stages stay small, and caps next to one
+    stage_runs, current = [], start
+    try:
+        for symbol in gens:
+            current = apply(enc.generator(symbol), current, cap=50_000)
+            stage_runs.append(len(current.runs))
+    except ExpansionCapExceeded:
+        stage_runs.append(50_000)
+    cap = max(1, data.draw(st.sampled_from(stage_runs)) + data.draw(st.sampled_from((-1, 0, 1))))
+    try:
+        want = start
+        for symbol in gens:
+            want = apply(enc.generator(symbol), want, cap=cap)
+    except ExpansionCapExceeded:
+        with pytest.raises(ExpansionCapExceeded):
+            apply_generator_word(enc, start, gens, cap=cap)
+        return
+    assert apply_generator_word(enc, start, gens, cap=cap) == want
+
+
 def test_side_words_evaluate_on_control_letters(toy_encoder):
     enc = toy_encoder
     abc = enc.alphabet

@@ -251,6 +251,113 @@ def test_apply_matches_reference(images, runs, cap):
     assert lang.Word(got.alphabet, got.runs) == got
 
 
+# ---------------------------------------------------------------- apply_stages
+
+def chained_apply(stages, w, cap):
+    """The reference: apply each stage in turn, under the cap."""
+    for m in stages:
+        w = morph.apply(m, w, cap)
+    return w
+
+
+def count_stage_applies(monkeypatch):
+    """Count the calls apply_stages makes to morph.apply (its stage-by-stage path)."""
+    calls = []
+
+    def counting(m, w, cap=None):
+        calls.append(len(w.runs))
+        return plain_apply(m, w, cap)
+
+    plain_apply = morph.apply
+    monkeypatch.setattr(morph, "apply", counting)
+    return calls
+
+
+chains3 = st.lists(st.lists(images3, min_size=3, max_size=3).map(
+    lambda images: morph.Morphism(Z3, tuple(images))), min_size=1, max_size=4)
+starts3 = st.one_of(
+    st.sampled_from(Z3.letters).map(lambda z: [(z, 1)]),  # one-letter words
+    st.lists(st.tuples(st.sampled_from(Z3.letters), st.integers(1, 3)), max_size=4),
+).map(lambda runs: lang.word_from_runs(Z3, runs))
+
+
+@given(chains3, starts3, st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_apply_stages_matches_chained_apply(stages, w, data):
+    # caps next to the run count of some stage's word, where the verdict turns
+    stage_runs, word_ = [], w
+    for m in stages:
+        word_ = morph.apply(m, word_)
+        stage_runs.append(len(word_.runs))
+    cap = max(1, data.draw(st.sampled_from(stage_runs)) + data.draw(st.sampled_from((-1, 0, 1))))
+    try:
+        want = chained_apply(stages, w, cap)
+    except ExpansionCapExceeded:
+        with pytest.raises(ExpansionCapExceeded):
+            morph.apply_stages(stages, w, cap)
+        return
+    got = morph.apply_stages(stages, w, cap)
+    assert got.runs == want.runs
+    assert lang.Word(got.alphabet, got.runs) == got
+
+
+# a -> (a b c a b), b -> b^4, c -> ε; then a -> b^2, b -> (a b a), c -> c
+SPREAD = mk(Z3, {"a": "a b c a b", "b": "b^4", "c": ""})
+FOLD = mk(Z3, {"a": "b^2", "b": "a b a", "c": "c"})
+
+
+def test_apply_stages_sure_fit_builds_no_stage_word(monkeypatch):
+    calls = count_stage_applies(monkeypatch)
+    stages = (SPREAD, FOLD, FOLD)
+    start = lang.parse_word(Z3, "a^2 c b")
+    want = chained_apply(stages, start, None)
+    calls.clear()
+    assert morph.apply_stages(stages, start).runs == want.runs
+    # (a b a)^2 merges at the seam: the per-letter images are renormalized
+    assert morph.apply_stages((FOLD,), lang.parse_word(Z3, "b^2")).runs == (
+        ("a", 1), ("b", 1), ("a", 2), ("b", 1), ("a", 1))
+    assert calls == []
+
+
+def test_apply_stages_shares_a_one_letter_image():
+    one = lang.word(Z3, ["a"])
+    assert morph.apply_stages((SPREAD,), one) is SPREAD.images[0]
+    assert morph.apply_stages((), one) is one
+
+
+def test_apply_stages_sure_exceed_names_the_stage_and_the_lower_bound(monkeypatch):
+    calls = count_stage_applies(monkeypatch)
+    start = lang.word(Z3, ["a"])
+    # stage 1 gives a^2 b^2 c (5 runs), stage 2 at least 2*5 runs from the two a
+    with pytest.raises(ExpansionCapExceeded) as err:
+        morph.apply_stages((SPREAD, SPREAD, FOLD), start, cap=9)
+    assert (err.value.needed, err.value.cap, str(err.value)) == (
+        10, 9, "expansion cap exceeded: needs 10 > cap 9 (lower bound from letter counts at stage 2 of 3)")
+    assert calls == []
+    with pytest.raises(ExpansionCapExceeded):
+        chained_apply((SPREAD, SPREAD, FOLD), start, 9)
+
+
+def test_apply_stages_decides_the_band_stage_by_stage(monkeypatch):
+    # a b under a -> a, b -> b c: apply checks 1 + 2 = 3 runs; the counts
+    # only tell 2 (the image of b) to 2 + 2 (plus the two runs given)
+    m = mk(Z3, {"a": "a", "b": "b c", "c": "c"})
+    start = lang.parse_word(Z3, "a b")
+    calls = count_stage_applies(monkeypatch)
+    assert morph.apply_stages((m,), start, cap=3).runs == (("a", 1), ("b", 1), ("c", 1))
+    assert calls == [2]
+    with pytest.raises(ExpansionCapExceeded) as err:
+        morph.apply_stages((m,), start, cap=2)
+    assert (err.value.needed, err.value.cap) == (3, 2)
+    # at the lower bound, with nothing before it, the check is exact
+    assert morph.apply_stages((SPREAD,), lang.word(Z3, ["a"]), cap=5).runs == SPREAD.images[0].runs
+
+
+def test_apply_stages_checks_alphabets():
+    with pytest.raises(AlphabetMismatch):
+        morph.apply_stages((SPREAD, H), lang.word(Z3, ["a"]))
+
+
 # ---------------------------------------------------------------- compose
 
 def test_compose_applies_left_then_right():

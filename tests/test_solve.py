@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diomorph import encode, matsem, poly, solve
+from diomorph import encode, matsem, morph, poly, solve
 from diomorph.solve import (
     diophantine_oracle,
     equivalence_report,
@@ -223,6 +223,36 @@ def test_word_confirmation_cap_boundary(trivial_encoder):
     assert capped.witness == full.witness == (1, 2)
     first, second = encode.matrices(trivial_encoder), encode.matrices(trivial_encoder)
     assert first[0] is second[0] and first[1] is second[1]
+
+
+@pytest.mark.parametrize("fixture, s, witness, method", [
+    ("squares_encoder", 4, (1, 1, 2), "parikh-bridge"),
+    ("trivial_encoder", 3, (1, 2), "parikh-bridge+word"),
+])
+def test_word_confirmation_builds_no_stage_word(fixture, s, witness, method, request, monkeypatch):
+    # squares at (1, 4) exceeds the default cap and trivial at (1, 3) fits it;
+    # letter counts decide both, so no stage is applied one by one
+    stage_applies, inside = [], []
+    plain_apply, plain_apply_generator_word = morph.apply, solve.apply_generator_word
+
+    def counting_apply(m, w, cap=None):
+        if inside:
+            stage_applies.append(len(w.runs))
+        return plain_apply(m, w, cap)
+
+    def marking(*args, **kwargs):
+        inside.append(1)
+        try:
+            return plain_apply_generator_word(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for module in (morph, encode):
+        monkeypatch.setattr(module, "apply", counting_apply)
+    monkeypatch.setattr(solve, "apply_generator_word", marking)
+    result = solve_one_unknown_words(solve.point(request.getfixturevalue(fixture), 1, s, 12))
+    assert (result.witness, result.method) == (witness, method)
+    assert stage_applies == []
 
 
 # ---------------------------------------------------------------------------
