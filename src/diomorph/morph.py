@@ -91,7 +91,10 @@ def identity_morphism(alphabet: LeveledAlphabet) -> Morphism:
     return Morphism(alphabet, tuple(lang.word(alphabet, [z]) for z in alphabet.letters))
 
 
-def _concatenate(images, position: Mapping[Letter, int], runs, limit) -> tuple[tuple[Letter, int], ...]:
+def _concatenate(
+    images: Sequence[Word] | Mapping[int, Word], position: Mapping[Letter, int],
+    runs: Iterable[tuple[Letter, int]], limit: float,
+) -> tuple[tuple[Letter, int], ...]:
     """Runs of the images of ``runs``, concatenated in normal form.
 
     The image of a run a^n is (image of a)^n, with the image of a letter at
@@ -191,8 +194,12 @@ def apply_stages(stages: Sequence[Morphism], w: Word, cap: int | None = None) ->
         if lower and upper > limit:
             decided = False
         reached.append(counts.keys())
-        if k < len(stages):  # the counts the next stage is given
-            after: dict[int, int] = {}
+        if k == len(stages):
+            break
+        if len(counts) == 1 and 1 in counts.values():  # one letter: its image's counts, shared
+            counts = images[next(iter(counts))].counts
+        else:
+            after: dict[int, int] = {}  # the counts the next stage is given
             for i, count in counts.items():
                 for j, c in images[i].counts.items():
                     after[j] = after.get(j, 0) + c * count
