@@ -196,14 +196,11 @@ def apply_stages(stages: Sequence[Morphism], w: Word, cap: int | None = None) ->
         reached.append(counts.keys())
         if k == len(stages):
             break
-        if len(counts) == 1 and 1 in counts.values():  # one letter: its image's counts, shared
-            counts = images[next(iter(counts))].counts
-        else:
-            after: dict[int, int] = {}  # the counts the next stage is given
-            for i, count in counts.items():
-                for j, c in images[i].counts.items():
-                    after[j] = after.get(j, 0) + c * count
-            counts = after
+        after: dict[int, int] = {}  # the counts the next stage is given
+        for i, count in counts.items():
+            for j, c in images[i].counts.items():
+                after[j] = after.get(j, 0) + c * count
+        counts = after
     if not decided:
         for m in stages:
             w = apply(m, w, cap)
