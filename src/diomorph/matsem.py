@@ -8,6 +8,11 @@ no zeros, no empty rows): dict equality is matrix equality.  ``entries`` (the
 sorted triplets) and ``cols`` (the columns) are cached views.  Matrices are
 validated where they come from outside; products build their rows directly.
 
+Rows are shared, not copied: a product computes each distinct row of its
+left factor once and shares row objects with its factors (see
+:func:`mat_mul`), as ``morph.matrix_of`` shares ``Word.counts``, so no row
+may be mutated.
+
 Besides the generic algebra (product, power, vector products) this module
 builds the equation-side matrices used by the bounded solvers: left folds of
 the two generator matrices following the same recipes as the word-level
@@ -46,7 +51,9 @@ def _checked_rows(dimension: int, items: Iterable[tuple[int, int, int]], canonic
 
 class SparseMatrix:
     """A square matrix in canonical rows, built from canonical triplets:
-    positive values, sorted, at unique positions.  Treat it as immutable."""
+    positive values, sorted, at unique positions.  Treat it as immutable:
+    products share row objects with their factors, so no row may be
+    mutated."""
 
     def __init__(self, dimension: int, entries: Iterable[tuple[int, int, int]]):
         self.dimension = dimension
@@ -119,33 +126,49 @@ def _require_same_dimension(a: SparseMatrix, b: SparseMatrix) -> None:
 
 
 def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a·b; a run of consecutive rows of ``a`` that are one object gets one
+    product row, and a one-entry row ``{mid: 1}`` takes b's row ``mid``
+    itself, so products share row objects with their factors."""
     _require_same_dimension(a, b)
     b_rows = b.rows
     rows: dict[int, Vector] = {}
+    last = out = None
     for i, arow in a.rows.items():
-        out: Vector = {}
-        for mid, av in arow.items():
-            brow = b_rows.get(mid)
-            if brow:
-                for j, bv in brow.items():
-                    out[j] = out.get(j, 0) + av * bv
+        if arow is not last:
+            last = arow
+            if len(arow) == 1:
+                (mid, av), = arow.items()
+                out = b_rows.get(mid)
+                if out and av != 1:
+                    out = {j: av * bv for j, bv in out.items()}
+            else:
+                out = {}
+                for mid, av in arow.items():
+                    brow = b_rows.get(mid)
+                    if brow:
+                        for j, bv in brow.items():
+                            out[j] = out.get(j, 0) + av * bv
         if out:  # entries are positive, so sums of products are never zero
             rows[i] = out
     return _from_rows(a.dimension, rows)
 
 
 def mat_pow(a: SparseMatrix, n: int) -> SparseMatrix:
-    """a^n by binary exponentiation; a^0 is the identity."""
+    """a^n by binary exponentiation, starting from the first factor; a^0 is
+    the identity."""
     if n < 0:
         raise ValueError("negative matrix power")
-    result = _from_rows(a.dimension, {i: {i: 1} for i in range(a.dimension)})  # a checked the dimension
+    if not n:
+        return _from_rows(a.dimension, {i: {i: 1} for i in range(a.dimension)})  # a checked the dimension
+    result = None
     base = a
-    while n:
+    while True:
         if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if n > 1 else base
+            result = base if result is None else mat_mul(result, base)
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = mat_mul(base, base)
 
 
 def vec_mat(vec: Mapping[int, int], a: SparseMatrix) -> Vector:

@@ -13,7 +13,11 @@ There is one search per point.  A :class:`Point` (built once per point by
 :func:`point`) holds the two equation sides ``a`` and ``b``, the generator
 matrices and the word bound.  Both sides keep all their letter counts in the
 four control rows, so each side's shortlex tree carries thin matrices
-``a·X(x)`` and ``b·X(y)`` and grows by one generator at a time.  A subtree
+``a·X(x)`` and ``b·X(y)`` and grows by one generator at a time.  The
+prefixes route ``c1``, ``c2`` and ``c3`` (and on the ``g2³`` side ``c0``
+too) to ``c3``, and :func:`matsem.mat_mul` shares a row among the rows it
+was computed for, so a thin matrix holds two distinct rows on the p side
+and one on the q side, and each is multiplied once per step.  A subtree
 is pruned exactly when its product has become the zero matrix, which no
 extension can revive: a zero left side fails the required
 nonannihilation, and a zero right side can only equal a zero left side.
@@ -49,7 +53,7 @@ The generator matrices are cached on the encoder, and
 :func:`equivalence_report` builds one :class:`Point` per point for its four
 solvers.  A found witness is re-verified by folding each side's start
 matrix along it afresh, row by row with a different kernel from the
-search's.
+search's, once per distinct row.
 """
 
 from __future__ import annotations
@@ -183,13 +187,19 @@ def _check_refold(
     Folds ``start`` along ``x`` afresh, one row at a time with
     :func:`matsem.vec_mat` (a different kernel from the search's
     :func:`matsem.mat_mul`), so the check stays as thin as the start matrix.
+    A run of consecutive start rows that are one object is folded once:
+    the sides' four control rows hold two distinct rows (p side) or one
+    (q side), which :func:`matsem.mat_mul` shares.
     """
     rows: dict[int, matsem.Vector] = {}
+    last = folded = None
     for i, row in start.rows.items():
-        for symbol in x:
-            row = matsem.vec_mat(row, step1 if symbol == 1 else step2)
-        if row:
-            rows[i] = row
+        if row is not last:
+            last = folded = row
+            for symbol in x:
+                folded = matsem.vec_mat(folded, step1 if symbol == 1 else step2)
+        if folded:
+            rows[i] = folded
     if rows != product.rows:
         raise AssertionError("incremental state diverged")
 

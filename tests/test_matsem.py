@@ -306,31 +306,54 @@ values = st.one_of(st.integers(1, 3), st.integers(10**20, 10**30))
 
 @st.composite
 def triplet_pairs(draw):
-    """A dimension and two canonical triplet tuples; small sizes leave rows empty."""
+    """A dimension, two matrices' rows and a vector; small sizes leave rows empty.
+
+    Each matrix's rows are picked from a pool of row objects, so that rows
+    can be one object, adjacent or apart, as products share them.  The pool
+    favours one-entry rows, with value 1 or a larger one, which a product
+    takes from its right factor, scaled or as they are."""
     k = draw(st.integers(1, 5))
-    cell = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    col = st.integers(0, k - 1)
+    row = st.one_of(st.builds(lambda c: {c: 1}, col),
+                    st.builds(lambda c, v: {c: v}, col, values),
+                    st.dictionaries(col, values, min_size=1, max_size=k))
 
-    def triplets():
-        cells = draw(st.dictionaries(cell, values, max_size=k * k))
-        return tuple(sorted((r, c, v) for (r, c), v in cells.items()))
+    def rows():
+        pool = draw(st.lists(row, min_size=1, max_size=3))
+        picks = draw(st.lists(st.integers(-1, len(pool) - 1), min_size=k, max_size=k))
+        return {i: pool[j] for i, j in enumerate(picks) if j >= 0}  # -1: an empty row
 
-    vec = draw(st.dictionaries(st.integers(0, k - 1), values, max_size=k))
-    return k, triplets(), triplets(), vec
+    vec = draw(st.dictionaries(col, values, max_size=k))
+    return k, rows(), rows(), vec
 
 
-@given(triplet_pairs(), st.integers(0, 4))
+def triplets(rows):
+    return tuple(sorted((r, c, v) for r, row in rows.items() for c, v in row.items()))
+
+
+@given(triplet_pairs())
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_rows_agree_with_triplet_reference(data, n):
-    k, ea, eb, vec = data
+def test_rows_agree_with_triplet_reference(data):
+    k, rows_a, rows_b, vec = data
+    ea, eb = triplets(rows_a), triplets(rows_b)
     a, b = matsem.SparseMatrix(k, ea), matsem.SparseMatrix(k, eb)
     ra, rb = RefMatrix(k, ea), RefMatrix(k, eb)
     assert a.entries == ra.entries and a.rows == ra.rows
-    for got, want in ((matsem.mat_mul(a, b), ref_mat_mul(ra, rb)),
-                      (matsem.mat_mul(b, a), ref_mat_mul(rb, ra)),
-                      (matsem.mat_pow(a, n), ref_mat_pow(ra, n))):
+    # the same matrices on the drawn row objects, shared where the draw shares them
+    sa, sb = matsem._from_rows(k, rows_a), matsem._from_rows(k, rows_b)
+    assert sa == a and sb == b
+    cases = [(matsem.mat_mul(sa, sb), ref_mat_mul(ra, rb)),
+             (matsem.mat_mul(sb, sa), ref_mat_mul(rb, ra)),
+             (matsem.mat_mul(matsem.mat_mul(sa, sb), sa), ref_mat_mul(ref_mat_mul(ra, rb), ra)),
+             (matsem.mat_mul(sb, matsem.mat_mul(sa, sb)), ref_mat_mul(rb, ref_mat_mul(ra, rb)))]
+    cases += [(matsem.mat_pow(sa, n), ref_mat_pow(ra, n)) for n in range(5)]
+    for got, want in cases:
         assert got.entries == want.entries and got.rows == want.rows
         assert got == matsem.SparseMatrix(k, want.entries)
         assert hash(got) == hash(matsem.SparseMatrix(k, want.entries))
+    # products share rows with their factors and leave them as they were
+    # (the factors' entries are first computed here)
+    assert sa.entries == ea and sb.entries == eb
     assert matsem.vec_mat(vec, a) == ref_vec_mat(vec, ra)
     assert matsem.mat_vec(a, vec) == ref_mat_vec(ra, vec)
     assert all(a.col_of(j) == ra.col_of(j) for j in range(k))

@@ -337,6 +337,29 @@ def test_four_solvers_on_one_point_walk_each_tree_once(squares_encoder, monkeypa
     assert four == len(calls) > 0
 
 
+def test_side_products_share_their_control_rows(squares_encoder, monkeypatch):
+    # the prefixes g2² and g2³ route c1, c2 and c3 (and on the q side c0) to
+    # c3, so the side matrices share those rows and every product grown from
+    # them keeps sharing: mat_mul multiplies each distinct row once
+    pt = solve.point(squares_encoder, 1, 4, 12)
+    c0, c1, c2, c3 = squares_encoder.control_indices
+    a, b = pt.a.rows, pt.b.rows
+    assert a[c1] is a[c2] is a[c3] is not a[c0]
+    assert b[c0] is b[c1] is b[c2] is b[c3]
+    for solver in (solve_one_unknown, solve_two_unknowns,
+                   solve_one_unknown_words, solve_two_unknowns_words):
+        solver(pt)
+    for side, most in ((0, 2), (1, 1)):
+        nodes = [acc for level in pt._trees[side] for _, acc in level]
+        assert len(nodes) > 1
+        assert all(len({id(row) for row in acc.rows.values()}) <= most for acc in nodes)
+    calls = []
+    real = matsem.mat_mul
+    monkeypatch.setattr(matsem, "mat_mul", lambda *args: calls.append(1) or real(*args))
+    assert matsem.mat_pow(pt.m2, 2) == real(pt.m2, pt.m2)
+    assert len(calls) == 1
+
+
 def test_refold_check_survives_optimize_flag(run_python):
     # the witness re-verification is a guarantee, so `python -O` must keep it
     code = (
