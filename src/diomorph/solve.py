@@ -53,7 +53,7 @@ The generator matrices are cached on the encoder, and
 :func:`equivalence_report` builds one :class:`Point` per point for its four
 solvers.  A found witness is re-verified by folding each side's start
 matrix along it afresh, row by row with a different kernel from the
-search's, once per distinct row.
+search's.
 """
 
 from __future__ import annotations
@@ -187,19 +187,15 @@ def _check_refold(
     Folds ``start`` along ``x`` afresh, one row at a time with
     :func:`matsem.vec_mat` (a different kernel from the search's
     :func:`matsem.mat_mul`), so the check stays as thin as the start matrix.
-    A run of consecutive start rows that are one object is folded once:
-    the sides' four control rows hold two distinct rows (p side) or one
-    (q side), which :func:`matsem.mat_mul` shares.
+    Every row is folded on its own, shared or not, so each is checked
+    independently of the search's row sharing.
     """
     rows: dict[int, matsem.Vector] = {}
-    last = folded = None
     for i, row in start.rows.items():
-        if row is not last:
-            last = folded = row
-            for symbol in x:
-                folded = matsem.vec_mat(folded, step1 if symbol == 1 else step2)
-        if folded:
-            rows[i] = folded
+        for symbol in x:
+            row = matsem.vec_mat(row, step1 if symbol == 1 else step2)
+        if row:
+            rows[i] = row
     if rows != product.rows:
         raise AssertionError("incremental state diverged")
 

@@ -308,20 +308,30 @@ values = st.one_of(st.integers(1, 3), st.integers(10**20, 10**30))
 def triplet_pairs(draw):
     """A dimension, two matrices' rows and a vector; small sizes leave rows empty.
 
-    Each matrix's rows are picked from a pool of row objects, so that rows
-    can be one object, adjacent or apart, as products share them.  The pool
-    favours one-entry rows, with value 1 or a larger one, which a product
-    takes from its right factor, scaled or as they are."""
+    A matrix is drawn either cell by cell, any canonical k×k matrix, or row
+    by row from a pool of up to k row objects, so that rows can be one
+    object, adjacent or apart, as products share them.  The pool favours
+    one-entry rows, with value 1 or a larger one, which a product takes from
+    its right factor, as they are or scaled."""
     k = draw(st.integers(1, 5))
     col = st.integers(0, k - 1)
     row = st.one_of(st.builds(lambda c: {c: 1}, col),
                     st.builds(lambda c, v: {c: v}, col, values),
                     st.dictionaries(col, values, min_size=1, max_size=k))
 
-    def rows():
-        pool = draw(st.lists(row, min_size=1, max_size=3))
+    def by_cells():
+        rows: dict[int, dict[int, int]] = {}
+        for (r, c), v in draw(st.dictionaries(st.tuples(col, col), values, max_size=k * k)).items():
+            rows.setdefault(r, {})[c] = v
+        return rows
+
+    def from_pool():
+        pool = draw(st.lists(row, min_size=1, max_size=k))
         picks = draw(st.lists(st.integers(-1, len(pool) - 1), min_size=k, max_size=k))
         return {i: pool[j] for i, j in enumerate(picks) if j >= 0}  # -1: an empty row
+
+    def rows():
+        return from_pool() if draw(st.booleans()) else by_cells()
 
     vec = draw(st.dictionaries(col, values, max_size=k))
     return k, rows(), rows(), vec

@@ -360,6 +360,20 @@ def test_side_products_share_their_control_rows(squares_encoder, monkeypatch):
     assert len(calls) == 1
 
 
+def test_refold_check_folds_every_row_on_its_own(squares_encoder):
+    # pt.a's c0 row and its shared c1..c3 row fold to different rows: the
+    # check accepts the product and rejects it with c1's row put in c0's place
+    pt = solve.point(squares_encoder, 1, 4, 12)
+    c0, c1 = squares_encoder.control_indices[:2]
+    x = (1, 2)
+    product = matsem.mat_mul(matsem.mat_mul(pt.a, pt.m1), pt.m2)
+    assert product.rows[c0] != product.rows[c1]
+    solve._check_refold(pt.a, pt.m1, pt.m2, x, product)
+    swapped = matsem._from_rows(product.dimension, {**product.rows, c0: product.rows[c1]})
+    with pytest.raises(AssertionError):
+        solve._check_refold(pt.a, pt.m1, pt.m2, x, swapped)
+
+
 def test_refold_check_survives_optimize_flag(run_python):
     # the witness re-verification is a guarantee, so `python -O` must keep it
     code = (
