@@ -11,10 +11,12 @@ Built here:
 
 * validation of the five defining conditions (plus triangularity): a table
   from each condition's name to the letters that violate it;
-* monomial systems, whose level for an exponent k is the power gadget: 2^k
-  letters whose n-fold iteration turns the first into n^k copies of the
-  last (rows of the k-fold Kronecker power of [[1,1],[0,1]]), or two letters
-  a -> b, b -> b for exponent zero;
+* monomial systems, whose level for an exponent k ≥ 1 is the power gadget:
+  k + 1 letters, letter i mapping to the product over j ≥ i of letter j to
+  the power C(k − i, j − i), so that n-fold iteration turns the first into
+  n^k copies of the last.  Its count matrix is the k-fold Kronecker power of
+  [[1,1],[0,1]] lumped by subset size: letter i stands for the subsets of
+  {1..k} of size i.  Exponent zero gets two letters a -> b, b -> b;
 * one letter layout (``_place``) that names any number of systems side by
   side, level by level, in a single pass (a disjoint union sharing one e);
 * two routines that fill the images into that layout: ``lay_out``
@@ -29,11 +31,12 @@ Built here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from . import lang, morph, poly
-from .config import alphabet_budget
-from .errors import AlphabetBudgetExceeded, DimensionMismatch
+from .config import alphabet_budget, expansion_cap
+from .errors import AlphabetBudgetExceeded, DimensionMismatch, ExpansionCapExceeded
 from .lang import LeveledAlphabet, Letter, Word
 from .morph import Morphism
 
@@ -136,13 +139,19 @@ def validate(triple: MTriple) -> dict[str, tuple[str, ...]]:
 
 # ------------------------------------------------------------------ power gadgets
 
-def _block_images(exponent: int) -> list[list[int]]:
-    """Per-letter image index lists (0-based) for one level's gadget: letter
-    i maps to the letters whose bit masks are supersets of i's."""
+def _block_images(exponent: int) -> list[list[tuple[int, int]]]:
+    """Per-letter image runs (0-based index, count) of one level's gadget:
+    letter i maps to letter j ≥ i C(exponent − i, j − i) times, the number
+    of size-j supersets of one size-i subset of {1..exponent}."""
     if exponent == 0:
-        return [[1], [1]]  # a -> b, b -> b
-    size = 2**exponent
-    return [[j for j in range(size) if j | i == j] for i in range(size)]
+        return [[(1, 1)], [(1, 1)]]  # a -> b, b -> b
+    return [[(j, comb(exponent - i, j - i)) for j in range(i, exponent + 1)]
+            for i in range(exponent + 1)]
+
+
+def _gadget_runs(exponent: int) -> int:
+    """The number of runs in the images of :func:`_block_images` (exponent)."""
+    return (exponent + 1) * (exponent + 2) // 2 if exponent else 2
 
 
 # ------------------------------------------------------------------ monomials
@@ -154,30 +163,42 @@ def _monomial_sizes(exponents: Sequence[int], budget: int | None) -> list[int]:
     if any(a < 0 for a in exponents):
         raise ValueError("exponents must be nonnegative")
     limit = alphabet_budget(budget)
-    if max(exponents) >= limit.bit_length():
-        # one level of 2**a letters alone is over the budget; 2**a is not computed,
-        # as for a huge exponent it would not fit in memory
-        raise AlphabetBudgetExceeded(f"at least 2^{max(exponents)}", limit,
-                                     f"monomial with exponents {tuple(exponents)}")
-    sizes = [2 ** max(a, 1) for a in exponents]
+    sizes = [max(a, 1) + 1 for a in exponents]
     if sum(sizes) + 1 > limit:
         raise AlphabetBudgetExceeded(sum(sizes) + 1, limit,
                                      f"monomial with exponents {tuple(exponents)}")
     return sizes
 
 
+def _place_gadgets(terms: Sequence[Sequence[int]], level_sizes: Sequence[Sequence[int]],
+                   tags: Sequence[str], head: Sequence[Letter], budget: int | None,
+                   context: str) -> tuple[LeveledAlphabet, list[list[int]]]:
+    """:func:`_place` for monomial systems with these exponents and level sizes,
+    after refusing a layout whose gadget images would hold more runs, all
+    levels together, than the default expansion cap.  The runs grow with the
+    square of an exponent and the letters only linearly, and every letter's
+    image holds a run, so the refusal also bounds the letters named, under
+    any budget."""
+    runs = sum(_gadget_runs(a) for exponents in terms for a in exponents)
+    cap = expansion_cap(None)
+    if runs > cap:
+        raise ExpansionCapExceeded(runs, cap, f"power gadget runs of the {context}")
+    return _place(level_sizes, tags, head, budget, context)
+
+
 def monomial_mtriple(exponents: Sequence[int], budget: int | None = None) -> ComputableMap:
     """The system computing x₁^{α₁} ⋯ x_t^{α_t}, with the first letter as witness."""
     t = len(exponents)
-    alphabet, _ = _place([_monomial_sizes(exponents, budget)], [""], (), budget, "monomial")
+    alphabet, _ = _place_gadgets([exponents], [_monomial_sizes(exponents, budget)], [""], (),
+                                 budget, "monomial")
     levels = alphabet.levels
     eps = lang.epsilon(alphabet)
 
     table1 = {"e": eps}
     for li, exponent in enumerate(exponents, start=1):
         block = levels[li - 1]
-        for local, image_indices in enumerate(_block_images(exponent)):
-            table1[block[local]] = lang.word(alphabet, [block[j] for j in image_indices])
+        for local, image_runs in enumerate(_block_images(exponent)):
+            table1[block[local]] = lang.word_from_runs(alphabet, [(block[j], n) for j, n in image_runs])
     g1 = morph.endomorphism(alphabet, table1)
 
     table2 = {a: eps for a in alphabet.letters}
@@ -273,11 +294,12 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
     that each polynomial has one witness: its terms' witnesses concatenated.
     No per-term system is built and nothing is translated: the images are
     filled straight into the merged alphabet, each level gadget's image
-    index lists are computed once per exponent, and the images, normal by
+    runs are computed once per exponent, and the images, normal by
     construction, share one empty word.  Errors are those of that path, in
     its order: per polynomial, a zero polynomial, then per term the monomial
-    checks; then differing arities; then the merged total against ``budget``
-    (named by ``context``).
+    checks; then the gadget runs of all terms together against the default
+    expansion cap (that path checks each term's runs alone); then differing
+    arities; then the merged total against ``budget`` (named by ``context``).
     """
     systems, level_sizes = [], []
     for k, p in enumerate(polynomials):
@@ -287,14 +309,14 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
             level_sizes.append(_monomial_sizes(exponents, budget))
             systems.append((k, exponents, coeff))
     tags = tags or [""] * len(polynomials)
-    merged, starts = _place(level_sizes, [tags[k] for k, _, _ in systems], head, budget, context)
+    merged, starts = _place_gadgets([exponents for _, exponents, _ in systems], level_sizes,
+                                    [tags[k] for k, _, _ in systems], head, budget, context)
 
     letters = merged.letters
-    single = [(a, 1) for a in letters]  # one shared run per letter
     eps = lang.epsilon(merged)
     g1: dict[Letter, Word] = {"e": eps}
     g2: dict[Letter, Word] = {"e": eps}
-    gadgets: dict[int, list[list[int]]] = {}
+    gadgets: dict[int, list[list[tuple[int, int]]]] = {}
     witness_runs: list[list[tuple[Letter, int]]] = [[] for _ in polynomials]
     for (k, exponents, coeff), start in zip(systems, starts):
         witness_runs[k].append((letters[start[0]], coeff))
@@ -302,11 +324,11 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
             if exponent not in gadgets:
                 gadgets[exponent] = _block_images(exponent)
             at = start[li]
-            for i, indices in enumerate(gadgets[exponent], start=at):
-                g1[letters[i]] = lang._normal_word(merged, tuple(single[at + j] for j in indices))
+            for i, runs in enumerate(gadgets[exponent], start=at):
+                g1[letters[i]] = lang._normal_word(merged, tuple((letters[at + j], n) for j, n in runs))
                 g2[letters[i]] = eps
             # the block's last letter hands down to the system's next level (or e)
-            g2[letters[i]] = lang._normal_word(merged, (single[start[li + 1]],))
+            g2[letters[i]] = lang._normal_word(merged, ((letters[start[li + 1]], 1),))
     witnesses = [lang._normal_word(merged, tuple(runs)) for runs in witness_runs]
     return merged, g1, g2, witnesses
 

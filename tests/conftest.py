@@ -2,7 +2,7 @@
 for fresh interpreters.
 
 The encoders are session-scoped — building the three-variable instance
-compiles two polynomials with dozens of monomials into a 5433-letter
+compiles two polynomials with dozens of monomials into a 1550-letter
 alphabet, which is too slow to repeat per test.
 """
 

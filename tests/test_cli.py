@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import os
+import resource
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -111,23 +113,55 @@ def test_budget_env_variable_is_honoured(toy_files, monkeypatch, capsys):
 
 
 def test_compile_budget_boundary(toy_files, tmp_path, capsys):
-    # the toy encoder has exactly 227 letters
+    # the toy encoder has exactly 143 letters
     p_path, q_path = toy_files
     base = ["compile", "--p", p_path, "--q", q_path, "-o", str(tmp_path / "enc.json")]
-    assert main(base + ["--alphabet-budget", "227"]) == cli.EXIT_OK
-    assert main(base + ["--alphabet-budget", "226"]) == cli.EXIT_BUDGET
-    assert "needs 227 > budget 226" in capsys.readouterr().err
+    assert main(base + ["--alphabet-budget", "143"]) == cli.EXIT_OK
+    assert main(base + ["--alphabet-budget", "142"]) == cli.EXIT_BUDGET
+    assert "needs 143 > budget 142" in capsys.readouterr().err
 
 
 def test_compile_refuses_a_huge_exponent_without_computing_its_gadget(toy_files, capsys):
-    # a level of 2**a letters alone is over the budget; 2**(10**30) is never built
+    # a level of a + 1 letters alone is over the budget, and its exact count
+    # is named; no letter of it is built
     _, q_path = toy_files
     p = {"arity": 2, "monomials": [{"coeff": "1", "exponents": [0, 10**30]}]}
     assert main(["compile", "--p", json.dumps(p), "--q", q_path, "-o", os.devnull]) == cli.EXIT_BUDGET
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"error: alphabet budget exceeded: needs at least 2^{10**30} > budget 32768 "
+    assert err == (f"error: alphabet budget exceeded: needs {2 + (10**30 + 1) + 1} > budget 32768 "
                    f"(monomial with exponents (1, {10**30}))\n")
+
+
+def _limit_address_space():
+    # building the refused gadgets takes gigabytes: a child that starts
+    # building them fails fast instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_compile_refuses_quadratic_gadget_runs_before_building_them(flags, run_python):
+    # x2^1000 against x3, tupled on four slots, fits the letter budget, but its
+    # gadgets' g1 images would hold (a + 1)(a + 2)/2 runs per level of
+    # exponent a >= 1 (2 for a = 0): over ten million, refused before any is built
+    p, q = poly.polynomial(3, {(0, 1000, 0): 1}), poly.variable(3, 3)
+    tupling = poly.injective_tupling(4)
+    runs = sum((a + 1) * (a + 2) // 2 if a else 2
+               for side in (p, q) for exponents, _ in encode.tupled(side, tupling).terms
+               for a in exponents)
+    assert runs == 10_551_244
+    start = time.perf_counter()
+    run = run_python(
+        *flags, "-m", "diomorph.cli", "compile", "-t", "3", "-o", os.devnull,
+        "--p", json.dumps(interchange.polynomial_to_doc(p)),
+        "--q", json.dumps(interchange.polynomial_to_doc(q)),
+        capture_output=True, text=True, timeout=5, preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert run.returncode == cli.EXIT_BUDGET
+    assert run.stdout == ""
+    assert run.stderr == (f"error: expansion cap exceeded: needs {runs} > cap 1000000 "
+                          "(power gadget runs of the merged encoder alphabet)\n")
 
 
 def test_bad_env_variable_is_bad_input(toy_files, monkeypatch, capsys):
@@ -393,7 +427,7 @@ def test_alphabet_budget_does_not_reach_loading(toy_encoder_file, monkeypatch, c
 
 
 def test_loading_refuses_polynomials_that_need_more_letters(toy_encoder, tmp_path, capsys):
-    # a consistent larger pair (x1³ against x2 needs 357 letters) in the toy
+    # a consistent larger pair (x1³ against x2 needs 174 letters) in the toy
     # alphabet: the rebuild runs out of letters, which is bad input (2), not a
     # budget the user set (3)
     doc = interchange.encoder_to_doc(toy_encoder)
@@ -407,7 +441,7 @@ def test_loading_refuses_polynomials_that_need_more_letters(toy_encoder, tmp_pat
     assert main(args) == cli.EXIT_BAD_INPUT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: recompiling p and q needs more than the 227 letters")
+    assert err.startswith("error: recompiling p and q needs more than the 143 letters")
     assert err.count("\n") == 1
 
 
@@ -457,7 +491,7 @@ def test_verify_detects_corruption(toy_encoder_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_verify_staged_cap_names_the_stage_and_the_lower_bound(flags, squares_files, run_python):
-    # c0 under g2 g2 g1 g2 meets g1's image of c2 (24,466 runs) at stage 3;
+    # c0 under g2 g2 g1 g2 meets g1's image of c2 (7,305 runs) at stage 3;
     # letter counts decide the cap there, before any stage word is built
     _, _, enc_path = squares_files
     run = run_python(
@@ -467,7 +501,7 @@ def test_verify_staged_cap_names_the_stage_and_the_lower_bound(flags, squares_fi
     )
     assert run.returncode == cli.EXIT_BUDGET
     assert run.stdout == ""
-    assert run.stderr == ("error: expansion cap exceeded: needs 24466 > cap 100 "
+    assert run.stderr == ("error: expansion cap exceeded: needs 7305 > cap 100 "
                           "(lower bound from letter counts at stage 3 of 4)\n")
 
 

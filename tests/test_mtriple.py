@@ -1,11 +1,12 @@
 import itertools
 from functools import reduce
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diomorph import lang, matsem, morph, mtriple, poly
-from diomorph.errors import AlphabetBudgetExceeded, DimensionMismatch
+from diomorph import config, lang, matsem, morph, mtriple, poly
+from diomorph.errors import AlphabetBudgetExceeded, DimensionMismatch, ExpansionCapExceeded
 
 
 def x(i, t):
@@ -15,8 +16,8 @@ def x(i, t):
 # ---------------------------------------------------------------- power gadgets
 #
 # The first level of the monomial system for exponent k is the power gadget
-# for k: 2^k letters whose count matrix is the k-fold Kronecker power of
-# [[1, 1], [0, 1]], or a -> b, b -> b for k = 0.
+# for k: k + 1 letters whose count matrix is the k-fold Kronecker power of
+# [[1, 1], [0, 1]] lumped by subset size, or a -> b, b -> b for k = 0.
 
 def _gadget(exponents):
     """The system's first level, its g1, and the count matrix of the first level's block."""
@@ -37,9 +38,9 @@ def test_power_gadget_k1():
 
 def test_power_gadget_k2_matrix_is_kron_square():
     _, _, _, block = _gadget((2,))
-    assert block == matsem.from_dense(
-        [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
-    )
+    kron_square = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    assert lump_by_subset_size(kron_square) == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
+    assert block == matsem.from_dense(lump_by_subset_size(kron_square))
 
 
 def dense_kron(a, b):
@@ -48,15 +49,34 @@ def dense_kron(a, b):
             for i in range(ka * kb)]
 
 
+def kron_power(k):
+    """The k-fold Kronecker power of [[1, 1], [0, 1]], k >= 1."""
+    n = [[1, 1], [0, 1]]
+    out = n
+    for _ in range(k - 1):
+        out = dense_kron(out, n)
+    return out
+
+
+def lump_by_subset_size(m):
+    """A Kronecker power of [[1, 1], [0, 1]], whose index bits mark the members
+    of a subset, lumped by subset size: entry (i, j) is a size-i row's sum over
+    the size-j columns.  Fails unless every size-i row gives the same sums."""
+    k = len(m).bit_length() - 1
+    lumped = {}
+    for r, row in enumerate(m):
+        sums = [0] * (k + 1)
+        for c, entry in enumerate(row):
+            sums[bin(c).count("1")] += entry
+        assert lumped.setdefault(bin(r).count("1"), sums) == sums, "not lumpable"
+    return [lumped[i] for i in range(k + 1)]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_power_gadget_block_is_kronecker_power(k):
-    n = [[1, 1], [0, 1]]
-    expected = n
-    for _ in range(k - 1):
-        expected = dense_kron(expected, n)
     _, level, _, block = _gadget((k,))
-    assert len(level) == 2**k
-    assert block == matsem.from_dense(expected)
+    assert len(level) == k + 1
+    assert block == matsem.from_dense(lump_by_subset_size(kron_power(k)))
 
 
 def test_power_gadget_counts_by_explicit_application():
@@ -80,18 +100,17 @@ def test_power_gadget_count_law(k):
 
 def test_power_gadget_triangular_and_increasing():
     c, level, g1, _ = _gadget((3,))
-    for z in level:
+    for i, z in enumerate(level):
         runs = g1.image(z).runs
-        indices = [c.triple.alphabet.index_of(y) for y, _ in runs]
-        assert all(count == 1 for _, count in runs)
-        assert indices == sorted(indices) and len(set(indices)) == len(indices)
-        assert indices[0] == c.triple.alphabet.index_of(z)  # every image starts with its letter
+        # letter i maps to every letter j >= i of its level, C(3 - i, j - i) times
+        assert [y for y, _ in runs] == list(level[i:])
+        assert [count for _, count in runs] == [comb(3 - i, j - i) for j in range(i, 4)]
 
 
 def test_power_gadget_budget():
-    with pytest.raises(AlphabetBudgetExceeded):
-        mtriple.monomial_mtriple((4,), budget=16)  # 2^4 gadget letters and e
-    assert len(mtriple.monomial_mtriple((4,), budget=17).triple.alphabet) == 17
+    with pytest.raises(AlphabetBudgetExceeded, match=r"needs 6 > budget 5 "):
+        mtriple.monomial_mtriple((4,), budget=5)  # 4 + 1 gadget letters and e
+    assert len(mtriple.monomial_mtriple((4,), budget=6).triple.alphabet) == 6
 
 
 def test_constant_gadget():
@@ -130,14 +149,46 @@ def test_monomial_validates():
 
 def test_monomial_alphabet_shape():
     c = mtriple.monomial_mtriple([2, 0, 1])
-    assert c.triple.alphabet.level_sizes == (4, 2, 2, 1)
+    assert c.triple.alphabet.level_sizes == (3, 2, 2, 1)
     assert c.triple.final_letter == "e"
     assert lang.text(c.witness) == "1.1"
 
 
 def test_monomial_budget():
-    with pytest.raises(AlphabetBudgetExceeded):
-        mtriple.monomial_mtriple([10], budget=100)
+    with pytest.raises(AlphabetBudgetExceeded, match=r"needs 101 > budget 100 "):
+        mtriple.monomial_mtriple([99], budget=100)
+    assert len(mtriple.monomial_mtriple([98], budget=100).triple.alphabet) == 100
+
+
+def test_gadget_runs_guard_boundary(monkeypatch):
+    # exponents (3, 0): 4 + 3 + 2 + 1 runs, then a -> b and b -> b
+    monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 12)
+    c = mtriple.monomial_mtriple((3, 0))
+    assert sum(len(image.runs) for image in c.triple.g1.images) == 12
+    monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 11)
+    with pytest.raises(ExpansionCapExceeded,
+                       match=r"^expansion cap exceeded: needs 12 > cap 11 \(power gadget runs of the monomial\)$"):
+        mtriple.monomial_mtriple((3, 0))
+    # a layout counts the runs of all its terms together (12 + 3 + 3), though each fits alone
+    polys = [poly.polynomial(2, {(3, 0): 1}), poly.polynomial(2, {(1, 1): 2})]
+    monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 18)
+    _, g1, _, _ = mtriple.lay_out_monomials(polys, context="ctx")
+    assert sum(len(image.runs) for image in g1.values()) == 18
+    monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 17)
+    with pytest.raises(ExpansionCapExceeded,
+                       match=r"^expansion cap exceeded: needs 18 > cap 17 \(power gadget runs of the ctx\)$"):
+        mtriple.lay_out_monomials(polys, context="ctx")
+
+
+def test_gadget_runs_guard_refuses_a_huge_exponent_under_any_budget(monkeypatch):
+    # the runs are counted from the exponent alone: no letter is named first
+    def place(*args):
+        raise AssertionError("letters named before the gadget runs were counted")
+
+    monkeypatch.setattr(mtriple, "_place", place)
+    a = 10**30
+    with pytest.raises(ExpansionCapExceeded, match=rf"needs {(a + 1) * (a + 2) // 2} > cap 1000000 "):
+        mtriple.monomial_mtriple((a,), budget=10**40)
 
 
 def test_monomial_rejects_bad_input():
@@ -223,8 +274,8 @@ def test_compile_mixed_monomials():
     p = poly.polynomial(2, {(2, 0): 1, (0, 1): 1})
     c = mtriple.compile_polynomial(p)
     assert mtriple.compute_word_level(c, (3, 4)) == 13
-    # one first-level block per term: 2^2 letters for x1^2, 2 for x2^0
-    assert len(c.triple.level(1)) == 6
+    # one first-level block per term: 2 + 1 letters for x1^2, 2 for x2^0
+    assert len(c.triple.level(1)) == 5
     assert len(c.witness.runs) == 2
 
 
@@ -242,6 +293,51 @@ def test_repeat_witness_computes_the_multiple():
     for times in (0, -1):
         with pytest.raises(ValueError):
             mtriple.repeat_witness(a, times)
+
+
+def _longest_word(p, point):
+    """The most letters a word of the word-level evaluation at ``point`` holds:
+    a term's level of exponent a, reached by c letters, holds c (m + 1)^a of
+    them after m of its g1 steps."""
+    return max(
+        sum(coeff * prod(x**a for x, a in zip(point[:level], exponents)) * (n + 1) ** exponents[level]
+            for exponents, coeff in p.terms)
+        for level, n in enumerate(point))
+
+
+@st.composite
+def gadget_cases(draw):
+    """Arity 2-3, at most 4 terms, exponents 0-6, coefficients 1-3, and a point
+    in {1..3}, lowered from its last entry until no word exceeds 3000 letters."""
+    arity = draw(st.integers(2, 3))
+    exponents = st.tuples(*[st.integers(0, 6)] * arity)
+    p = poly.polynomial(arity, draw(st.dictionaries(
+        exponents, st.integers(1, 3), min_size=1, max_size=4)))
+    point = list(draw(st.tuples(*[st.integers(1, 3)] * arity)))
+    for k in reversed(range(arity)):
+        while point[k] > 1 and _longest_word(p, point) > 3000:
+            point[k] -= 1
+    return p, tuple(point)
+
+
+@given(gadget_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_compiled_gadgets_are_lumped_kronecker_powers(case):
+    p, point = case
+    c = mtriple.compile_polynomial(p)
+    assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
+    assert not any(mtriple.validate(c.triple).values())
+    # each level holds one gadget block per term, in term order, and the
+    # block's rows have no entry outside it
+    m, at = morph.matrix_of(c.triple.g1), 0
+    for li in range(p.arity):
+        for exponents, _ in p.terms:
+            a = exponents[li]
+            want = lump_by_subset_size(kron_power(a)) if a else [[0, 1], [0, 1]]
+            for i, row in enumerate(want):
+                assert m.row_of(at + i) == {at + j: n for j, n in enumerate(row) if n}
+            at += len(want)
+    assert at == len(c.triple.alphabet) - 1
 
 
 def test_compile_rejects_zero():
@@ -379,7 +475,7 @@ def _assert_same_layout(got, want):
 
 
 def _monomial_size(exponents):
-    return sum(2 ** max(a, 1) for a in exponents) + 1
+    return sum(max(a, 1) + 1 for a in exponents) + 1
 
 
 @st.composite
@@ -422,15 +518,15 @@ def _unchecked_polynomial(arity, terms):
     # a zero polynomial, before any term of it or of a later polynomial
     ([poly.zero(2), poly.polynomial(2, {(3, 3): 1})], 5),
     # the first polynomial's terms, before the second polynomial is looked at
-    ([poly.polynomial(2, {(1, 0): 1, (3, 3): 1}), poly.zero(2)], 12),
+    ([poly.polynomial(2, {(1, 0): 1, (5, 5): 1}), poly.zero(2)], 12),
     # a negative exponent, before that term's budget
     ([_unchecked_polynomial(2, (((-1, 9), 1),))], 5),
     # a term too large, in term order: p's before q's
-    ([poly.polynomial(2, {(2, 0): 1}), poly.polynomial(2, {(3, 3): 1})], 12),
+    ([poly.polynomial(2, {(2, 0): 1}), poly.polynomial(2, {(5, 5): 1})], 12),
     # differing arities, before the merged total (5 and 7 letters apart, 11 together)
     ([poly.variable(1, 2), poly.variable(1, 3)], 10),
-    # the merged total
-    ([poly.polynomial(2, {(1, 1): 1, (2, 0): 1}), poly.variable(1, 2)], 14),
+    # the merged total (5, 7 and 5 letters apart, 15 together)
+    ([poly.polynomial(2, {(1, 1): 1, (3, 0): 1}), poly.variable(1, 2)], 14),
 ])
 def test_monomial_layout_raises_in_the_reference_order(polys, budget):
     got = _outcome(mtriple.lay_out_monomials, polys, ("A:", "B:")[:len(polys)], (), budget, "ctx")
