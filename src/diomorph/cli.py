@@ -16,9 +16,11 @@ Exit codes
     5   search exhausted without a conclusion (no witness within bounds)
 
 Inputs given to --p/--q/--encoder are file paths, or inline JSON when the
-argument starts with "{".  The environment variables DIOMORPH_EXPANSION_CAP
-and DIOMORPH_ALPHABET_BUDGET override the default resource limits; explicit
-flags override the environment.
+argument starts with "{".  DIOMORPH_EXPANSION_CAP overrides the default
+expansion cap of solve, verify and report, and DIOMORPH_ALPHABET_BUDGET the
+default alphabet budget of compile; an explicit --cap or --alphabet-budget
+overrides the environment.  compile, and the recompilation that loading an
+encoder document runs, always use the default expansion cap.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import encode, interchange, poly, solve
@@ -102,7 +105,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _result_text(result: solve.SolveResult, fmt: str) -> str:
     if fmt == "machine":
-        return interchange.dumps(result.to_doc())
+        return interchange.dumps(asdict(result))
     if result.pair is not None:
         what = "pair " + " | ".join(
             " ".join(map(str, side)) if side else "(empty)" for side in result.pair
@@ -187,7 +190,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             results.append(solve.solve_one_unknown_words(pt, cap=cap))
     if args.format == "machine" and len(results) == 2:
         text = interchange.dumps(
-            {level: r.to_doc() for level, r in zip(levels, results)}
+            {level: asdict(r) for level, r in zip(levels, results)}
         )
     else:
         text = "".join(_result_text(r, args.format) for r in results)

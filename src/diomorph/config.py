@@ -3,8 +3,9 @@
 The expansion cap bounds how much word data any single operation may
 materialize (RLE runs while rewriting, plain letters when expanding).
 The alphabet budget bounds how many letters a construction may allocate.
-Both are overridable per call; the CLI additionally honours the environment
-variables DIOMORPH_EXPANSION_CAP and DIOMORPH_ALPHABET_BUDGET.
+Both are overridable per call.  In the CLI, DIOMORPH_EXPANSION_CAP sets the
+cap of solve, verify and report, and DIOMORPH_ALPHABET_BUDGET the budget of
+compile; compile itself always runs under the default cap.
 """
 
 DEFAULT_EXPANSION_CAP = 10**6

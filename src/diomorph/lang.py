@@ -158,9 +158,6 @@ class Word:
     def support(self) -> frozenset[Letter]:
         return frozenset(letter for letter, _ in self.runs)
 
-    def __str__(self) -> str:
-        return text(self)
-
 
 def _normalize_runs(pairs: Iterable[tuple[Letter, int]]) -> tuple[tuple[Letter, int], ...]:
     runs: list[tuple[Letter, int]] = []

@@ -71,9 +71,6 @@ class SparseMatrix:
                 table.setdefault(c, {})[r] = v
         return table
 
-    def entry(self, row: int, col: int) -> int:
-        return self.rows.get(row, {}).get(col, 0)
-
     def row_of(self, row: int) -> Vector:
         return dict(self.rows.get(row, {}))
 
@@ -89,13 +86,6 @@ class SparseMatrix:
 
     def __hash__(self) -> int:
         return hash((self.dimension, self.entries))
-
-    def __str__(self) -> str:
-        if self.dimension > 12:
-            return f"<{self.dimension}x{self.dimension} sparse, {sum(map(len, self.rows.values()))} entries>"
-        grid = [[str(self.entry(i, j)) for j in range(self.dimension)] for i in range(self.dimension)]
-        width = max(len(s) for row in grid for s in row)
-        return "\n".join(" ".join(s.rjust(width) for s in row) for row in grid)
 
 
 def _from_rows(dimension: int, rows: dict[int, Vector]) -> SparseMatrix:

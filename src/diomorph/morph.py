@@ -71,10 +71,6 @@ class Morphism:
     def table(self) -> dict[Letter, Word]:
         return dict(zip(self.alphabet.letters, self.images))
 
-    def __str__(self) -> str:
-        rows = [f"{z} -> {lang.text(img) or 'ε'}" for z, img in zip(self.alphabet.letters, self.images)]
-        return "\n".join(rows)
-
 
 def endomorphism(alphabet: LeveledAlphabet, table: Mapping[Letter, Word]) -> Morphism:
     """Build a morphism from a letter -> image word table (must be total)."""

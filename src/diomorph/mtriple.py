@@ -333,16 +333,14 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
     return merged, g1, g2, witnesses
 
 
-def direct_sum_maps(left: ComputableMap, right: ComputableMap,
-                    budget: int | None = None) -> tuple[ComputableMap, ComputableMap]:
+def direct_sum_maps(left: ComputableMap, right: ComputableMap) -> tuple[ComputableMap, ComputableMap]:
     """Merge two systems of equal dimension into one with a shared final letter.
 
     The two-system case of :func:`lay_out`: in each level the left part
     comes first, every letter gets the canonical "level.position" name, and
     both witnesses come back translated into the merged alphabet.
     """
-    merged, g1, g2, (u, v) = lay_out([left, right], budget=budget,
-                                     context="direct sum of two systems")
+    merged, g1, g2, (u, v) = lay_out([left, right], context="direct sum of two systems")
     triple = MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),
                      left.triple.dimension)
     return ComputableMap(triple, u, left.polynomial), ComputableMap(triple, v, right.polynomial)
@@ -373,14 +371,13 @@ def monomial_parts(p: poly.Polynomial, budget: int | None = None) -> list[Comput
     return parts
 
 
-def compile_polynomial(p: poly.Polynomial, budget: int | None = None) -> ComputableMap:
+def compile_polynomial(p: poly.Polynomial) -> ComputableMap:
     """Lay out the monomial systems of a nonzero polynomial as one map,
     with the layout the encoder runs (:func:`lay_out_monomials`).
 
     The witness is the concatenation of the parts' witnesses in term order.
     """
-    merged, g1, g2, (witness,) = lay_out_monomials([p], budget=budget,
-                                                   context="monomial systems of one polynomial")
+    merged, g1, g2, (witness,) = lay_out_monomials([p], context="monomial systems of one polynomial")
     triple = MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),
                      p.arity)
     return ComputableMap(triple, witness, p)
@@ -388,14 +385,14 @@ def compile_polynomial(p: poly.Polynomial, budget: int | None = None) -> Computa
 
 # ------------------------------------------------------------------ evaluation
 
-def compute_word_level(c: ComputableMap, point: Sequence[int], cap: int | None = None) -> int:
+def compute_word_level(c: ComputableMap, point: Sequence[int]) -> int:
     """Run the iteration on actual words and read off the exponent of e."""
     _check_point(c, point)
     current = c.witness
     for n in point:
         for _ in range(n):
-            current = morph.apply(c.triple.g1, current, cap)
-        current = morph.apply(c.triple.g2, current, cap)
+            current = morph.apply(c.triple.g1, current)
+        current = morph.apply(c.triple.g2, current)
     assert current.support() <= {c.triple.final_letter}, "iteration must end in the final letter"
     return current.length
 

@@ -9,7 +9,7 @@ wanted, belong to the human rendering only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,7 @@ class SuiteReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def to_doc(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "method": c.method, "detail": c.detail}
-                for c in self.checks
-            ],
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def render(self, fmt: str = "human") -> str:
         if fmt == "machine":

@@ -23,26 +23,27 @@ extension can revive: a zero left side fails the required
 nonannihilation, and a zero right side can only equal a zero left side.
 The point grows each tree only as deep as a search asks and keeps it, so
 the four solvers run on one point walk each tree once.  One loop,
-:func:`_search`, serves all four; the level, matrix or morphism, is only the
-predicate it applies to candidates whose products are equal.
+:func:`_search`, serves all four: the first candidate whose products are
+equal is the witness, and the level, matrix or morphism, only names how it
+was decided.
 
-The two levels differ in that predicate.  Matrix level: the two
-products are equal and nonzero.  Morphism level: additionally the images
-behind the counts must agree as words.  For equation sides the letter
-supports make that decidable without materializing anything: the compared
-row (``c0``) draws on the two disjoint tagged halves of the alphabet, so
-equal counts force both images into powers of the shared final letter
-(where counts determine words); the remaining control rows arise from
-identical letter trajectories on both sides.  The solver checks these
-support facts from the data for every candidate; if they ever failed, it
-would fall back to materializing the four control images under the
-expansion cap rather than guess.
+Matrix level: the two products are equal and nonzero.  Morphism level:
+additionally the images behind the counts must agree as words.  For
+equation sides the letter supports settle that without materializing
+anything: the compared row (``c0``) draws on the two disjoint tagged
+halves of the alphabet, so equal counts force both images into powers of
+the shared final letter (where counts determine words); the remaining
+control rows arise from identical letter trajectories on both sides.  So
+every candidate with equal products is a witness at both levels; the
+morphism level re-checks the support facts from the data for each one and
+raises AssertionError if they ever fail, as it does when a word comparison
+contradicts them.
 
-Where control images are materialized (to confirm a bridge verdict, or as
-that fallback), the same trajectory argument saves work: the prefixes
-``g2²`` and ``g2³`` only route each control letter to a single letter, and
-only two distinct letters (``c2`` and ``c3``) come out, so the shared
-suffix is applied twice rather than eight times.  Each suffix goes through
+Where control images are materialized, to confirm a bridge verdict, the
+same trajectory argument saves work: the prefixes ``g2²`` and ``g2³`` only
+route each control letter to a single letter, and only two distinct
+letters (``c2`` and ``c3``) come out, so the shared suffix is applied
+twice rather than eight times.  Each suffix goes through
 :func:`diomorph.encode.apply_generator_word`, which decides the expansion
 cap from letter counts and, when the words fit, builds each reachable
 letter's image under the remaining stages once instead of every stage
@@ -59,7 +60,7 @@ search's.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product as iter_product
 from typing import Callable, Iterator, Sequence
 
@@ -162,17 +163,6 @@ class SolveResult:
     def words(self) -> tuple[tuple[int, ...], ...]:
         """The witness, or both words of the pair, when found."""
         return ((self.witness,) if self.witness is not None else ()) + (self.pair or ())
-
-    def to_doc(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "level": self.level,
-            "method": self.method,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "pair": [list(self.pair[0]), list(self.pair[1])] if self.pair else None,
-            "max_len": self.max_len,
-            "detail": self.detail,
-        }
 
 
 def _check_refold(
@@ -283,45 +273,32 @@ def point(enc: Encoder, n: int, s: int, max_len: int) -> Point:
     return Point(enc, n, s, max_len, a, b, m1, m2)
 
 
-# (method, detail) of a witness, () for no witness, None for undecided
-Verdict = tuple[str, str] | tuple[()] | None
-
-
 def _search(
     pt: Point,
     two: bool,
     level: str,
-    decide: Callable[[tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix], Verdict],
-    undecided_note: str = "",
+    decide: Callable[[tuple[int, ...], matsem.SparseMatrix, matsem.SparseMatrix], tuple[str, str]],
 ) -> SolveResult:
-    """The one search loop: the first candidate whose products are equal and
-    that ``decide(x, left, right)`` accepts, re-verified by a fresh fold of
-    each side; otherwise honest exhaustion, counting undecided candidates."""
-    undecided = 0
+    """The one search loop: the first candidate whose products are equal,
+    re-verified by a fresh fold of each side, with the (method, detail) that
+    ``decide(x, left, right)`` names for it; otherwise honest exhaustion."""
     for x, y, left, right in pt.candidates(two):
-        if left != right:
-            continue
-        verdict = decide(x, left, right)
-        if verdict is None:
-            undecided += 1
-        elif verdict:
+        if left == right:
+            method, detail = decide(x, left, right)
             _check_refold(pt.a, pt.m1, pt.m2, x, left)
             _check_refold(pt.b, pt.m1, pt.m2, y, right)
-            method, detail = verdict
             witness, pair = (None, (x, y)) if two else (x, None)
             return SolveResult("found", level, pt.max_len, witness, pair, method, detail)
     if two:
         detail = f"no pair with both words of length <= {pt.max_len}"
     else:
         detail = f"no witness among generator words of length <= {pt.max_len}"
-    if undecided:
-        detail += f"; {undecided} candidates {undecided_note}"
     method = "product" if level == "matrix" else "parikh-bridge"
     return SolveResult("exhausted", level, pt.max_len, method=method, detail=detail)
 
 
 # ---------------------------------------------------------------------------
-# The four solvers: one decide predicate each
+# The four solvers: each names how its witness was decided
 # ---------------------------------------------------------------------------
 
 
@@ -369,7 +346,8 @@ def _halves_containment(
 
 
 def _word_level_equal(pt: Point, x: Sequence[int], cap: int | None) -> bool | None:
-    """Directly compare the four control images of both sides, if affordable.
+    """Confirm a bridge verdict by comparing the four control images of both
+    sides as words, if affordable.
 
     Both side words end in the same suffix ``argument_word((n, s)) + x``;
     they differ only in the prefix (``g2²`` against ``g2³``), which routes a
@@ -410,33 +388,31 @@ def _word_level_equal(pt: Point, x: Sequence[int], cap: int | None) -> bool | No
         return None
 
 
+def _bridge(enc: Encoder, left: matsem.SparseMatrix, right: matsem.SparseMatrix) -> tuple[str, str]:
+    """The morphism-level verdict on equal products: the support facts of
+    :func:`_halves_containment` must hold, or the construction is broken."""
+    if not _halves_containment(enc, left, right):
+        raise AssertionError("equal products whose supports escape the tagged halves")
+    return "parikh-bridge", _BRIDGE
+
+
 def solve_one_unknown_words(pt: Point, cap: int | None = None) -> SolveResult:
     """Morphism-level search: first x making the two side morphisms equal
     and nonannihilating as maps on words."""
 
-    def decide(x, left, right) -> Verdict:
-        if _halves_containment(pt.enc, left, right):
-            confirmed = _word_level_equal(pt, x, cap)
-            if confirmed is False:
-                raise AssertionError("support analysis and word comparison disagree")
-            return ("parikh-bridge+word" if confirmed else "parikh-bridge", _BRIDGE)
-        # supports unexpectedly escaped the tagged halves: only a direct word
-        # comparison can decide this candidate
-        direct = _word_level_equal(pt, x, cap)
-        if direct is None:
-            return None
-        return ("word", "decided by materializing the control images") if direct else ()
+    def decide(x, left, right) -> tuple[str, str]:
+        method, detail = _bridge(pt.enc, left, right)
+        confirmed = _word_level_equal(pt, x, cap)
+        if confirmed is False:
+            raise AssertionError("support analysis and word comparison disagree")
+        return ("parikh-bridge+word" if confirmed else method), detail
 
-    return _search(pt, False, "morphism", decide, "undecidable within the expansion cap")
+    return _search(pt, False, "morphism", decide)
 
 
 def solve_two_unknowns_words(pt: Point) -> SolveResult:
     """Morphism-level pair search ordered by (|x|+|y|, x, y)."""
-
-    def decide(x, left, right) -> Verdict:
-        return ("parikh-bridge", _BRIDGE) if _halves_containment(pt.enc, left, right) else None
-
-    return _search(pt, True, "morphism", decide, "undecidable from counts alone")
+    return _search(pt, True, "morphism", lambda x, left, right: _bridge(pt.enc, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -475,30 +451,9 @@ class EquivalenceReport:
         return all(row.agree for row in self.rows)
 
     def to_doc(self) -> dict:
-        return {
-            "p": str(self.p),
-            "q": str(self.q),
-            "oracle_bound": self.oracle_bound,
-            "solver_bound": self.solver_bound,
-            "all_agree": self.all_agree,
-            "rows": [
-                {
-                    "n": row.n,
-                    "s": row.s,
-                    "oracle_witness": list(row.oracle_witness)
-                    if row.oracle_witness is not None
-                    else None,
-                    "matrix_one": row.matrix_one.to_doc(),
-                    "matrix_two": row.matrix_two.to_doc(),
-                    "morphism_one": row.morphism_one.to_doc(),
-                    "morphism_two": row.morphism_two.to_doc(),
-                    "agree": row.agree,
-                    "caveats": list(row.caveats),
-                }
-                for row in self.rows
-            ],
-            "notes": list(self.notes),
-        }
+        """The fields as plain data, with the polynomials as text and the
+        overall verdict added."""
+        return {**asdict(self), "p": str(self.p), "q": str(self.q), "all_agree": self.all_agree}
 
     def render(self, fmt: str = "human") -> str:
         if fmt == "machine":

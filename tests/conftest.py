@@ -31,6 +31,17 @@ def run_python():
 
 
 @pytest.fixture(scope="session")
+def encoder_named(request):
+    """Looks a session encoder up by its fixture name.
+
+    For Hypothesis tests: a failing example prints every argument, and
+    Hypothesis spells out a dataclass field by field, which for a
+    3-variable encoder is tens of megabytes of text.
+    """
+    return request.getfixturevalue
+
+
+@pytest.fixture(scope="session")
 def toy_encoder():
     """Two variables: p(x1, x2) = x2 against q(x1, x2) = x1."""
     p = poly.variable(2, 2)

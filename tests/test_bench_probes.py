@@ -1,6 +1,7 @@
 """The benchmark's tracer probes functions by name; each must still exist.
-And ``src`` keeps only what the CLI, a probe or a test oracle calls, and
-no function of it takes a parameter that it never reads.
+And ``src`` keeps only what the CLI, a probe or a test oracle calls, no
+function of it takes a parameter that it never reads, and no module-level
+function has a defaulted parameter that no caller sets.
 
 ``perfbench/tracer.py`` reports a probed function that is gone as absent
 and drops its metrics from the result line, which then lacks metrics the
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import diomorph
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 SRC = Path(diomorph.__file__).resolve().parent
 
 # Definitions that neither ``cli.main`` nor a probe reaches, kept because tests
@@ -160,3 +162,38 @@ def _unread_parameters():
 
 def test_every_parameter_of_src_is_read():
     assert _unread_parameters() == []
+
+
+def _unset_defaults():
+    """"module.function(parameter)" for every defaulted parameter of a
+    module-level function of ``src`` that no call in ``src``, ``tests`` or
+    ``perfbench`` passes, by keyword or by position.  Calls are matched by
+    the called name alone, and a starred argument passes no known position.
+    The benchmark's files are parsed from their text, never imported."""
+    defaulted = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if isinstance(fn, ast.FunctionDef):
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaulted += [(path.stem, fn.name, a.arg, i)
+                              for i, a in enumerate(positional) if i >= first]
+                defaulted += [(path.stem, fn.name, a.arg, None)
+                              for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+    passed = set()
+    for path in [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                known = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                             len(call.args))
+                passed.update((name, k.arg) for k in call.keywords if k.arg is not None)
+                passed.update((name, i) for i in range(known))
+    return [f"{module}.{fn}({arg})" for module, fn, arg, i in defaulted
+            if (fn, arg) not in passed and (fn, i) not in passed]
+
+
+def test_every_defaulted_parameter_of_src_is_set_by_some_caller():
+    assert _unset_defaults() == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diomorph import cli, encode, interchange, matsem, poly
+from diomorph import cli, encode, interchange, matsem, poly, solve
 from diomorph.cli import main
 
 
@@ -211,6 +211,15 @@ def test_oracle_human_output(squares_files, capsys):
     assert "solution" in capsys.readouterr().out
 
 
+def test_oracle_human_output_without_a_solution(squares_files, capsys):
+    p_path, q_path, _ = squares_files
+    args = ["oracle", "--p", p_path, "--q", q_path, "-n", "1", "-s", "3", "-B", "5"]
+    assert main(args) == cli.EXIT_EXHAUSTED
+    out, err = capsys.readouterr()
+    assert out == "no solution with remaining arguments in 1..5 at (n,s)=(1,3)\n"
+    assert err == ""
+
+
 def test_oracle_arity_mismatch_is_bad_input(toy_files, squares_files, capsys):
     p_path, _ = toy_files
     _, q_path, _ = squares_files
@@ -271,6 +280,16 @@ def test_solve_exhausted_on_toy(toy_encoder_file, capsys):
     assert doc["outcome"] == "exhausted" and doc["witness"] is None
 
 
+def test_solve_human_output_when_exhausted(toy_encoder_file, capsys):
+    args = ["solve", "--encoder", toy_encoder_file, "-n", "2", "-s", "3", "--max-len", "3"]
+    assert main(args) == cli.EXIT_EXHAUSTED
+    out, err = capsys.readouterr()
+    assert out == ("outcome: exhausted (matrix level, method product, bound 3)\n"
+                   "no witness within bound\n"
+                   "detail: no witness among generator words of length <= 3\n")
+    assert err == ""
+
+
 def test_solve_both_levels(toy_encoder_file, capsys):
     args = ["solve", "--encoder", toy_encoder_file, "-n", "2", "-s", "2",
             "--max-len", "2", "--level", "both", "--format", "machine"]
@@ -287,6 +306,20 @@ def test_solve_two_unknowns_flag(toy_encoder_file, capsys):
     assert main(args) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["pair"] == [[], []]
+
+
+def test_solve_both_levels_disagreeing_is_a_failure(toy_encoder_file, monkeypatch, capsys):
+    # the two levels agree on every equation the construction makes, so the
+    # morphism-level search is replaced by one that reports exhaustion
+    monkeypatch.setattr(solve, "solve_one_unknown_words", lambda pt, cap=None: solve.SolveResult(
+        "exhausted", "morphism", pt.max_len, method="parikh-bridge"))
+    args = ["solve", "--encoder", toy_encoder_file, "-n", "2", "-s", "2",
+            "--max-len", "2", "--level", "both", "--format", "machine"]
+    assert main(args) == cli.EXIT_SUITE_FAILURE
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (doc["matrix"]["outcome"], doc["morphism"]["outcome"]) == ("found", "exhausted")
+    assert err == "error: matrix and morphism levels disagree\n"
 
 
 def test_solve_both_levels_builds_the_sides_once(toy_encoder_file, monkeypatch, capsys):
@@ -466,6 +499,25 @@ def test_verify_suites_pass_on_toy(toy_encoder_file, suite, capsys):
     assert doc["passed"] is True and doc["suite"]
 
 
+def test_verify_human_output_is_pinned(toy_encoder_file, capsys):
+    # human is the default format
+    assert main(["verify", "--encoder", toy_encoder_file, "--suite", "conditions"]) == cli.EXIT_OK
+    detail = "c2/c3 start the two counters; c0/c1 erase"
+    assert capsys.readouterr().out == "".join(line + "\n" for line in [
+        "suite conditions: 15/15 checks passed",
+        *(f"  [pass] control-g1-image {c} (word) — {detail}" for c in ("c0", "c1", "c2", "c3")),
+        *(f"  [pass] control-g2-image {c} (word)" for c in ("c0", "c1", "c2", "c3")),
+        "  [pass] final-letter-erased g1 (word)",
+        "  [pass] final-letter-erased g2 (word)",
+        "  [pass] double-raise-erases-noncontrol (word)",
+        "  [pass] square-cube-agreement-off-c0 (word)",
+        "  [pass] g1-then-double-raise-is-zero (word)",
+        "  [pass] validation-profile (structural) — double-raise erasure fails on exactly "
+        "the control letters; failed conditions: level_raising, square_erasing",
+        "  [pass] tagged-blocks-match-recompilation (structural)",
+    ])
+
+
 def test_verify_functoriality_on_toy(toy_encoder_file, capsys):
     args = ["verify", "--encoder", toy_encoder_file, "--suite", "functoriality",
             "--max-len", "5", "--format", "machine"]
@@ -563,6 +615,32 @@ def test_report_disagreement_exit_code(squares_files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_agree"] is False
     assert doc["rows"][0]["caveats"]
+
+
+def test_report_flags_wrong_morphism_level_witnesses(squares_files, monkeypatch, capsys):
+    # the morphism-level searches are replaced by ones that return a witness
+    # whose tuple (1, 4, 1) misses the equation and a pair whose second word
+    # does not parse as an argument chain
+    monkeypatch.setattr(solve, "solve_one_unknown_words", lambda pt, cap=None: solve.SolveResult(
+        "found", "morphism", pt.max_len, witness=(1, 2), method="parikh-bridge"))
+    monkeypatch.setattr(solve, "solve_two_unknowns_words", lambda pt: solve.SolveResult(
+        "found", "morphism", pt.max_len, pair=((1, 1, 2), (1,)), method="parikh-bridge"))
+    p_path, q_path, enc_path = squares_files
+    args = ["report", "--p", p_path, "--q", q_path, "--encoder", enc_path,
+            "--point", "1,4", "--oracle-bound", "5", "--solver-bound", "6",
+            "--format", "machine"]
+    assert main(args) == cli.EXIT_SUITE_FAILURE
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_agree"] is False
+    [row] = doc["rows"]
+    assert row["agree"] is False
+    assert row["caveats"] == [
+        "recovered tuple (1, 4, 1) does not satisfy the equation",
+        "witness (1,) does not parse as an argument chain: "
+        "trailing level-preserving steps after the last raise",
+        "matrix and morphism searches disagree on the witness",
+        "matrix and morphism searches disagree on the pair",
+    ]
 
 
 def test_report_requires_points(squares_files, capsys):

@@ -256,8 +256,8 @@ def test_apply_matches_materialized_morphism(toy_encoder):
 
 @given(st.data())
 @settings(max_examples=250, deadline=None, derandomize=True)
-def test_apply_generator_word_matches_stage_by_stage_apply(squares_encoder, data):
-    enc = squares_encoder
+def test_apply_generator_word_matches_stage_by_stage_apply(encoder_named, data):
+    enc = encoder_named("squares_encoder")
     letters = st.sampled_from(CONTROL_LETTERS + enc.alphabet.letters[::97])
     start = word(enc.alphabet, data.draw(st.lists(letters, min_size=1, max_size=3)))
     gens = data.draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=6))
@@ -554,8 +554,8 @@ def test_random_pairs_build_and_verify(p, q):
     n=st.integers(min_value=1, max_value=3),
     s=st.integers(min_value=1, max_value=3),
 )
-def test_side_matrices_track_side_morphisms(toy_encoder, n, s):
-    enc = toy_encoder
+def test_side_matrices_track_side_morphisms(encoder_named, n, s):
+    enc = encoder_named("toy_encoder")
     m1, m2 = encode.matrices(enc)
     assert morph.matrix_of(p_side_morphism(enc, n, s)) == matsem.p_side_matrix(m1, m2, n, s)
     assert morph.matrix_of(q_side_morphism(enc, n, s)) == matsem.q_side_matrix(m1, m2, n, s)

@@ -24,7 +24,7 @@ def _gadget(exponents):
     c = mtriple.monomial_mtriple(exponents)
     level, g1 = c.triple.level(1), c.triple.g1
     m = morph.matrix_of(g1)  # the first level opens the alphabet, so its block is top left
-    block = matsem.from_dense([[m.entry(i, j) for j in range(len(level))] for i in range(len(level))])
+    block = matsem.from_dense([[m.rows.get(i, {}).get(j, 0) for j in range(len(level))] for i in range(len(level))])
     return c, level, g1, block
 
 

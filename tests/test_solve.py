@@ -212,6 +212,21 @@ def test_morphism_level_trivial_and_empty(trivial_encoder, empty_encoder):
     assert missing.outcome == "exhausted"
 
 
+def test_morphism_solvers_raise_when_supports_escape_the_halves(squares_encoder, monkeypatch):
+    # equal products are always a witness; a failed support check means the
+    # construction is broken, so it raises rather than deciding another way
+    monkeypatch.setattr(solve, "_halves_containment", lambda *_: False)
+    pt = solve.point(squares_encoder, 1, 4, 6)
+    for search in (solve_one_unknown_words, solve_two_unknowns_words):
+        with pytest.raises(AssertionError, match="supports escape the tagged halves"):
+            search(pt)
+    # the check runs only on equal products, so an exhausted search never meets it
+    pt = solve.point(squares_encoder, 1, 3, 4)
+    for search in (solve_one_unknown_words, solve_two_unknowns_words):
+        result = search(pt)
+        assert (result.outcome, result.method) == ("exhausted", "parikh-bridge")
+
+
 def test_word_confirmation_cap_boundary(trivial_encoder):
     # at (1, 3) the two control trajectories need more than 300k runs but fit
     # the default cap: the bridge verdict stands either way, and only the
@@ -291,10 +306,8 @@ def _brute_force(pt, two):
     s=st.integers(min_value=1, max_value=5),
     max_len=st.integers(min_value=0, max_value=6),
 )
-def test_solvers_match_a_brute_force_search(
-    toy_encoder, squares_encoder, which, n, s, max_len
-):
-    enc = squares_encoder if which == "squares" else toy_encoder
+def test_solvers_match_a_brute_force_search(encoder_named, which, n, s, max_len):
+    enc = encoder_named("squares_encoder" if which == "squares" else "toy_encoder")
     pt = solve.point(enc, n, s, max_len)
     if which == "zero sides":  # as in test_zero_side_exhausts_immediately
         z = matsem.matrix(pt.a.dimension, {})
