@@ -14,9 +14,9 @@ as ``morph.apply``) build it through ``_normal_word`` and skip the check.
 A word counts its letters once, on first use of ``Word.counts``, and keeps
 the counts; words that are never counted stay as small as before.
 
-Operations that can produce an unbounded number of runs (``word_power`` of
-a multi-run word, morphism application downstream) accept an expansion cap
-and fail loudly, never truncate.
+Nothing here multiplies runs.  Morphism application (``morph.apply``),
+which can produce an unbounded number of runs, takes an expansion cap and
+fails loudly, never truncates.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .config import expansion_cap
-from .errors import AlphabetMismatch, ExpansionCapExceeded, InvalidAlphabet
+from .errors import AlphabetMismatch, InvalidAlphabet
 
 Letter = str
 
@@ -147,11 +146,12 @@ class Word:
         """
         counts = getattr(self, "_counts", None)
         if counts is None:
-            position = self.alphabet._positions
-            counts = {}
+            by: dict[Letter, int] = {}  # summed by name first: each letter is looked up once
+            get = by.get
             for letter, count in self.runs:
-                i = position[letter]
-                counts[i] = counts.get(i, 0) + count
+                by[letter] = get(letter, 0) + count
+            position = self.alphabet._positions
+            counts = {position[letter]: count for letter, count in by.items()}
             object.__setattr__(self, "_counts", counts)  # as the frozen dataclass sets fields
         return counts
 
@@ -209,27 +209,6 @@ def _require_same_alphabet(a: Word, b: Word) -> None:
 def word_concat(a: Word, b: Word) -> Word:
     _require_same_alphabet(a, b)
     return Word(a.alphabet, _normalize_runs(list(a.runs) + list(b.runs)))
-
-
-def word_power(a: Word, k: int, cap: int | None = None) -> Word:
-    """a^k in run form.
-
-    Single-run words stay single-run for any k; multi-run words need about
-    k * len(runs) runs, so the result must fit the expansion cap.
-    """
-    if k < 0:
-        raise ValueError("negative power")
-    if k == 0 or a.is_empty:
-        return epsilon(a.alphabet)
-    if k == 1:
-        return a
-    if len(a.runs) == 1:
-        letter, count = a.runs[0]
-        return Word(a.alphabet, ((letter, count * k),))
-    limit = expansion_cap(cap)
-    if len(a.runs) * k > limit:
-        raise ExpansionCapExceeded(len(a.runs) * k, limit, f"run count of a {len(a.runs)}-run word to the power {k}")
-    return Word(a.alphabet, _normalize_runs(a.runs * k))
 
 
 def translate(w: Word, mapping: Mapping[Letter, Letter], target: LeveledAlphabet) -> Word:

@@ -11,20 +11,22 @@ Built here:
 
 * validation of the five defining conditions (plus triangularity): a table
   from each condition's name to the letters that violate it;
-* monomial systems, whose level for an exponent k ≥ 1 is the power gadget:
-  k + 1 letters, letter i mapping to the product over j ≥ i of letter j to
-  the power C(k − i, j − i), so that n-fold iteration turns the first into
-  n^k copies of the last.  Its count matrix is the k-fold Kronecker power of
-  [[1,1],[0,1]] lumped by subset size: letter i stands for the subsets of
-  {1..k} of size i.  Exponent zero gets two letters a -> b, b -> b;
+* monomial systems for c · x₁^{α₁} ⋯ x_t^{α_t}, whose level for an
+  exponent k ≥ 1 is the power gadget: k + 1 letters, letter i mapping to
+  the product over j ≥ i of letter j to the power C(k − i, j − i), so that
+  n-fold iteration turns the first into n^k copies of the last.  Its count
+  matrix is the k-fold Kronecker power of [[1,1],[0,1]] lumped by subset
+  size: letter i stands for the subsets of {1..k} of size i.  Exponent zero
+  gets two letters a -> b, b -> b.  The witness is the first letter once;
+  the coefficient c is the last hand-off, g2 mapping the last level's last
+  letter to e^c (g2 of e is ε, so g2 still erases squares);
 * one letter layout (``_place``) that names any number of systems side by
   side, level by level, in a single pass (a disjoint union sharing one e);
 * two routines that fill the images into that layout: ``lay_out``
-  translates the images of built systems, with coefficients entering as
-  witness repetitions, and ``lay_out_monomials`` (which the encoder and
-  ``compile_polynomial`` use) writes every gadget straight from the
-  polynomials' exponents, without a system or a renaming per term;
-  ``lay_out`` of ``monomial_parts`` stays as its reference;
+  translates the images of built systems, and ``lay_out_monomials`` (which
+  the encoder and ``compile_polynomial`` use) writes every gadget straight
+  from the polynomials' exponents, without a system or a renaming per
+  term; ``lay_out`` of ``monomial_parts`` stays as its reference;
 * word-level evaluation of a compiled map at a point.
 """
 
@@ -186,8 +188,12 @@ def _place_gadgets(terms: Sequence[Sequence[int]], level_sizes: Sequence[Sequenc
     return _place(level_sizes, tags, head, budget, context)
 
 
-def monomial_mtriple(exponents: Sequence[int], budget: int | None = None) -> ComputableMap:
-    """The system computing x₁^{α₁} ⋯ x_t^{α_t}, with the first letter as witness."""
+def monomial_mtriple(exponents: Sequence[int], coefficient: int = 1,
+                     budget: int | None = None) -> ComputableMap:
+    """The system computing c · x₁^{α₁} ⋯ x_t^{α_t}, with the first letter as
+    witness: the last level's last letter hands down e^c."""
+    if coefficient < 1:
+        raise ValueError("coefficients must be positive")
     t = len(exponents)
     alphabet, _ = _place_gadgets([exponents], [_monomial_sizes(exponents, budget)], [""], (),
                                  budget, "monomial")
@@ -204,13 +210,13 @@ def monomial_mtriple(exponents: Sequence[int], budget: int | None = None) -> Com
     table2 = {a: eps for a in alphabet.letters}
     for li in range(1, t + 1):
         last = levels[li - 1][-1]
-        first_of_next = levels[li][0]  # level t feeds the final letter
-        table2[last] = lang.word(alphabet, [first_of_next])
+        first_of_next = levels[li][0]  # level t feeds the final letter, c times
+        table2[last] = lang.letter_power(alphabet, first_of_next, coefficient if li == t else 1)
     g2 = morph.endomorphism(alphabet, table2)
 
     triple = MTriple(alphabet, g1, g2, t)
     witness = lang.word(alphabet, [levels[0][0]])
-    monomial = poly.polynomial(t, {tuple(exponents): 1})
+    monomial = poly.polynomial(t, {tuple(exponents): coefficient})
     return ComputableMap(triple, witness, monomial)
 
 
@@ -291,7 +297,8 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
 
     Returns what ``lay_out`` returns for the :func:`monomial_parts` of all
     polynomials in order, polynomial k's terms tagged ``tags[k]``, except
-    that each polynomial has one witness: its terms' witnesses concatenated.
+    that each polynomial has one witness: its terms' first letters, once
+    each.  A term's coefficient c is its last hand-off, e^c under g2.
     No per-term system is built and nothing is translated: the images are
     filled straight into the merged alphabet, each level gadget's image
     runs are computed once per exponent, and the images, normal by
@@ -319,7 +326,7 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
     gadgets: dict[int, list[list[tuple[int, int]]]] = {}
     witness_runs: list[list[tuple[Letter, int]]] = [[] for _ in polynomials]
     for (k, exponents, coeff), start in zip(systems, starts):
-        witness_runs[k].append((letters[start[0]], coeff))
+        witness_runs[k].append((letters[start[0]], 1))
         for li, exponent in enumerate(exponents):
             if exponent not in gadgets:
                 gadgets[exponent] = _block_images(exponent)
@@ -327,8 +334,10 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
             for i, runs in enumerate(gadgets[exponent], start=at):
                 g1[letters[i]] = lang._normal_word(merged, tuple((letters[at + j], n) for j, n in runs))
                 g2[letters[i]] = eps
-            # the block's last letter hands down to the system's next level (or e)
-            g2[letters[i]] = lang._normal_word(merged, ((letters[start[li + 1]], 1),))
+            # the block's last letter hands down to the system's next level,
+            # or from the last level to e^coeff
+            count = coeff if li == len(exponents) - 1 else 1
+            g2[letters[i]] = lang._normal_word(merged, ((letters[start[li + 1]], count),))
     witnesses = [lang._normal_word(merged, tuple(runs)) for runs in witness_runs]
     return merged, g1, g2, witnesses
 
@@ -346,26 +355,15 @@ def direct_sum_maps(left: ComputableMap, right: ComputableMap) -> tuple[Computab
     return ComputableMap(triple, u, left.polynomial), ComputableMap(triple, v, right.polynomial)
 
 
-def repeat_witness(c: ComputableMap, times: int) -> ComputableMap:
-    """Same system, witness repeated: computes the `times`-fold multiple."""
-    if times < 1:
-        raise ValueError("repetition count must be positive")
-    return ComputableMap(c.triple, lang.word_power(c.witness, times),
-                         poly.scale(c.polynomial, times))
-
-
 def monomial_parts(p: poly.Polynomial, budget: int | None = None) -> list[ComputableMap]:
     """One monomial system per term of a nonzero polynomial, in term order.
 
-    Each coefficient enters as a witness repetition count, never by
-    duplicating alphabet letters.
+    Each coefficient enters as the power of e that the term's last
+    hand-off writes, never by duplicating alphabet letters or witnesses.
     """
     if p.is_zero:
         raise ValueError("cannot compile the zero polynomial")
-    parts = [
-        repeat_witness(monomial_mtriple(exps, budget), coeff)
-        for exps, coeff in p.terms
-    ]
+    parts = [monomial_mtriple(exps, coeff, budget) for exps, coeff in p.terms]
     if poly.polynomial(p.arity, [term for c in parts for term in c.polynomial.terms]) != p:
         raise AssertionError("monomial systems do not sum to the polynomial")
     return parts
@@ -375,7 +373,8 @@ def compile_polynomial(p: poly.Polynomial) -> ComputableMap:
     """Lay out the monomial systems of a nonzero polynomial as one map,
     with the layout the encoder runs (:func:`lay_out_monomials`).
 
-    The witness is the concatenation of the parts' witnesses in term order.
+    The witness is the concatenation of the parts' witnesses in term order:
+    each term's first letter, once.
     """
     merged, g1, g2, (witness,) = lay_out_monomials([p], context="monomial systems of one polynomial")
     triple = MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),

@@ -122,14 +122,6 @@ def _product(a: Iterable[tuple[Exponents, int]],
     return acc
 
 
-def scale(a: Polynomial, c: int) -> Polynomial:
-    if c < 0:
-        raise ValueError("negative scalar")
-    if c == 0:
-        return zero(a.arity)
-    return Polynomial(a.arity, tuple((e, c * k) for e, k in a.terms))
-
-
 def evaluate(p: Polynomial, point: Sequence[int]) -> int:
     """Exact evaluation at a point of positive integers."""
     if len(point) != p.arity:

@@ -1,12 +1,18 @@
 """Shared fixtures: the encoders used across the test suite, and a runner
-for fresh interpreters.
+for fresh interpreters; and a wall-clock limit on every single test.
 
 The encoders are session-scoped — building the three-variable instance
 compiles two polynomials with dozens of monomials into a 1550-letter
 alphabet, which is too slow to repeat per test.
+
+The limit turns a test that stalls (say, on a wrong matrix product that
+makes a search run on) into a failure of that test, so that the rest of
+the suite still runs.  The slowest test takes a few seconds.
 """
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +21,41 @@ import pytest
 
 import diomorph
 from diomorph import encode, poly
+
+TEST_TIME_LIMIT_S = 60
+
+
+class Overtime(BaseException):
+    """A test ran past its time limit.  Not an ``Exception``, so that neither
+    the code under test nor Hypothesis (which would shrink on) catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise :class:`Overtime` in the main thread once ``seconds`` of wall
+    clock have passed inside the block (where ``signal.setitimer`` exists).
+    Leaving the block disarms the timer, so blocks do not nest."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def overtime(signum, frame):
+        raise Overtime(f"test ran past the per-test limit of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Fail any single test whose call runs longer than ``TEST_TIME_LIMIT_S``."""
+    with time_limit(TEST_TIME_LIMIT_S):
+        yield
 
 
 @pytest.fixture(scope="session")

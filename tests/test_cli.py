@@ -164,6 +164,57 @@ def test_compile_refuses_quadratic_gadget_runs_before_building_them(flags, run_p
                           "(power gadget runs of the merged encoder alphabet)\n")
 
 
+def _compile_and_report(p, q, t, points, oracle_bound, solver_bound, tmp_path, capsys):
+    """Compile p against q at arity t into a file, then report on it at the
+    points; returns the compile exit code, the report's exit code and its
+    machine document."""
+    p_doc, q_doc = (interchange.dumps(interchange.polynomial_to_doc(r)) for r in (p, q))
+    enc_path = str(tmp_path / "enc.json")
+    compiled = main(["compile", "--p", p_doc, "--q", q_doc, "-t", str(t), "-o", enc_path])
+    args = ["report", "--p", p_doc, "--q", q_doc, "--encoder", enc_path,
+            "--oracle-bound", str(oracle_bound), "--solver-bound", str(solver_bound),
+            "--format", "machine"]
+    for n, s in points:
+        args += ["--point", f"{n},{s}"]
+    capsys.readouterr()
+    reported = main(args)
+    out, err = capsys.readouterr()
+    assert err == ""
+    return compiled, reported, json.loads(out)
+
+
+def test_compile_takes_a_huge_coefficient_as_one_hand_off(tmp_path, capsys):
+    # the coefficient is the power of e that the term's last level hands
+    # down, so 10^20 costs no runs; when it repeated the witness, compiling
+    # exited 3 (needs 400000000000000000012 > cap 1000000)
+    p, q = poly.polynomial(3, {(0, 1, 0): 10**20}), poly.variable(3, 3)
+    compiled, reported, doc = _compile_and_report(p, q, 3, [(1, 1)], 3, 8, tmp_path, capsys)
+    assert (compiled, reported) == (cli.EXIT_OK, cli.EXIT_OK)
+    assert doc["all_agree"] is True
+    (row,) = doc["rows"]
+    assert row["oracle_witness"] is None and not row["matrix_one"]["witness"]
+
+
+def test_four_variable_pair_compiles_and_reports(tmp_path, capsys):
+    # x2·x4 against 3·x3 at t = 4: when each coefficient repeated its term's
+    # witness, compiling exited 3 (needs 1032639 > cap 1000000)
+    p = poly.mul(poly.variable(2, 4), poly.variable(4, 4))
+    q = poly.mul(poly.constant(3, 4), poly.variable(3, 4))
+    compiled, reported, doc = _compile_and_report(p, q, 4, [(1, 1), (1, 2)], 3, 10, tmp_path, capsys)
+    assert (compiled, reported) == (cli.EXIT_OK, cli.EXIT_OK)
+    assert doc["all_agree"] is True
+    assert [row["oracle_witness"] for row in doc["rows"]] == [[1, 3], [2, 3]]
+    for row in doc["rows"]:
+        assert all(row[k]["outcome"] == "found" for k in
+                   ("matrix_one", "matrix_two", "morphism_one", "morphism_two"))
+        witnesses = [row["matrix_one"]["witness"], row["morphism_one"]["witness"],
+                     *row["matrix_two"]["pair"], *row["morphism_two"]["pair"]]
+        for witness in witnesses:
+            full = solve.extract_argument_tuple(4, row["n"], row["s"], witness)
+            assert full[:2] == (row["n"], row["s"])
+            assert poly.evaluate(p, full) == poly.evaluate(q, full)
+
+
 def test_bad_env_variable_is_bad_input(toy_files, monkeypatch, capsys):
     p_path, q_path = toy_files
     monkeypatch.setenv("DIOMORPH_ALPHABET_BUDGET", "many")
@@ -355,7 +406,7 @@ INCONSISTENT_ENCODERS = {
     "dimension 2 needs 3 alphabet levels, found 2": _merge_last_levels,
     "alphabet lacks one of the letters c0, c1, c2, c3, e": _rename_c0,
     "p_tupled and q_tupled must be the tuplings of p and q": lambda doc: doc.update(
-        p=interchange.polynomial_to_doc(poly.scale(poly.variable(1, 2), 3))),
+        p=interchange.polynomial_to_doc(poly.mul(poly.constant(3, 2), poly.variable(1, 2)))),
 }
 
 
@@ -543,7 +594,7 @@ def test_verify_detects_corruption(toy_encoder_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_verify_staged_cap_names_the_stage_and_the_lower_bound(flags, squares_files, run_python):
-    # c0 under g2 g2 g1 g2 meets g1's image of c2 (7,305 runs) at stage 3;
+    # c0 under g2 g2 g1 g2 meets g1's image of c2 (286 runs) at stage 3;
     # letter counts decide the cap there, before any stage word is built
     _, _, enc_path = squares_files
     run = run_python(
@@ -553,7 +604,7 @@ def test_verify_staged_cap_names_the_stage_and_the_lower_bound(flags, squares_fi
     )
     assert run.returncode == cli.EXIT_BUDGET
     assert run.stdout == ""
-    assert run.stderr == ("error: expansion cap exceeded: needs 7305 > cap 100 "
+    assert run.stderr == ("error: expansion cap exceeded: needs 286 > cap 100 "
                           "(lower bound from letter counts at stage 3 of 4)\n")
 
 

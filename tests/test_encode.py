@@ -116,14 +116,14 @@ def test_control_tables(toy_encoder):
     assert enc.g2.image(FINAL_LETTER).is_empty
 
 
-# sha256 of each conftest encoder document, recorded when the power gadgets
-# were lumped by subset size (a level of exponent a has a + 1 letters); the
-# documents must stay byte-identical
+# sha256 of each conftest encoder document, recorded when each term's
+# coefficient moved from its witness to its last hand-off (g2 maps the last
+# level's last letter to e^c); the documents must stay byte-identical
 GOLDEN_ENCODER_SHA256 = {
-    "toy_encoder": "d8bedcf890b6f84381c9f5f6a722ba6cd505847eccbf8c839733d6eed7f3da95",
-    "squares_encoder": "fe87e13635e01cf23e35aa628bab970d12e8afa2a71a403cd114a4c09bafb86f",
-    "trivial_encoder": "0b32c7f545ce2c8061f04b7601151d9e181d59b60fa2422f67d60222051612ec",
-    "empty_encoder": "2bd1324033013cf8d7f0708f6157db017a18e325da2dc3b5798fa79574887f75",
+    "toy_encoder": "14d31a68d1ffff60f2d283cbf1d2159772594dd217fe290527efd9c719125541",
+    "squares_encoder": "618fb2fbd6239abb284b8ca4a44152ff9953c1adcd8bfca088d91e2edfd01ff5",
+    "trivial_encoder": "d7e76f96aab36f69f7653c28ad69bf60bb9e015ae7cefe3ebfeb3148128649a6",
+    "empty_encoder": "88f3c3ee5bf72af8385f986775fa677bd34a6d6759c2403d82fd6bab65fb6db4",
 }
 
 
@@ -570,8 +570,25 @@ def test_squares_layout(squares_encoder):
     enc = squares_encoder
     assert enc.dimension == 3
     assert len(enc.alphabet.level_sizes) == 4
-    assert enc.u.length == poly.evaluate(enc.p_tupled, (1, 1, 1))
-    assert enc.v.length == poly.evaluate(enc.q_tupled, (1, 1, 1))
+    assert (enc.u.length, enc.v.length) == (86, 82)  # one letter per term
+    for w, p in ((enc.u, enc.p_tupled), (enc.v, enc.q_tupled)):
+        value = poly.evaluate(p, (1, 1, 1))
+        assert apply_generator_word(enc, w, argument_word((1, 1, 1))) == letter_power(
+            enc.alphabet, FINAL_LETTER, value)
+
+
+@pytest.mark.parametrize("fixture", ["toy_encoder", "squares_encoder", "trivial_encoder", "empty_encoder"])
+def test_each_counter_hands_its_coefficients_down_to_e(fixture, request):
+    # u and v hold their terms' first letters once each, and the g2 images
+    # that reach e carry exactly the tupled polynomials' coefficients
+    enc = request.getfixturevalue(fixture)
+    first_level = set(enc.alphabet.levels[0])
+    for w, p, tag in ((enc.u, enc.p_tupled, "A:"), (enc.v, enc.q_tupled, "B:")):
+        assert w.length == len(w.runs) == len(p.terms)
+        assert all(z.startswith(tag) and z in first_level for z in w.support())
+        handoffs = [img.runs[0][1] for z, img in zip(enc.alphabet.letters, enc.g2.images)
+                    if z.startswith(tag) and img.runs and img.runs[0][0] == FINAL_LETTER]
+        assert sorted(handoffs) == sorted(coeff for _, coeff in p.terms)
 
 
 def test_squares_equation_side_on_perfect_square(squares_encoder):

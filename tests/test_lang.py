@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diomorph import lang, poly
-from diomorph.errors import AlphabetMismatch, ExpansionCapExceeded, InvalidAlphabet
+from diomorph.errors import AlphabetMismatch, InvalidAlphabet
 
 Z = lang.flat_alphabet(["z1", "z2", "z3", "e"])
 
@@ -109,36 +109,6 @@ def test_concat_alphabet_mismatch():
         lang.word_concat(W(["z1"]), lang.word(other, ["z1"]))
 
 
-def test_power_zero_is_epsilon():
-    assert lang.word_power(W(["z1", "z2"]), 0).is_empty
-
-
-def test_power_alternating():
-    w = lang.word_power(W(["z1", "z2"]), 3)
-    assert w.runs == (("z1", 1), ("z2", 1)) * 3
-
-
-def test_power_single_run_never_capped():
-    w = lang.word_power(lang.letter_power(Z, "z2", 5), 10**30)
-    assert w.runs == (("z2", 5 * 10**30),)
-
-
-def test_power_multi_run_capped():
-    with pytest.raises(ExpansionCapExceeded):
-        lang.word_power(W(["z1", "z2"]), 10**7)
-    # explicit small cap
-    with pytest.raises(ExpansionCapExceeded):
-        lang.word_power(W(["z1", "z2"]), 6, cap=10)
-
-
-def test_power_cap_boundary():
-    ab = W(["z1", "z2"])
-    assert lang.word_power(ab, 5, cap=10).length == 10  # ten runs fit a cap of ten
-    with pytest.raises(ExpansionCapExceeded) as err:
-        lang.word_power(ab, 5, cap=9)
-    assert (err.value.needed, err.value.cap) == (10, 9)
-
-
 def test_text_of_an_astronomical_run():
     w = lang.word_from_runs(Z, [("z1", 1), ("e", 10**40)])
     assert lang.text(w) == f"z1 e^{10**40}"
@@ -242,18 +212,6 @@ def test_concat_matches_expansion(a, b):
 @settings(max_examples=80)
 def test_concat_associative(a, b, c):
     assert lang.word_concat(lang.word_concat(a, b), c) == lang.word_concat(a, lang.word_concat(b, c))
-
-
-@given(small_words, st.integers(0, 8), st.integers(0, 8))
-@settings(max_examples=120)
-def test_power_splits(a, j, k):
-    assert lang.word_power(a, j + k) == lang.word_concat(lang.word_power(a, j), lang.word_power(a, k))
-
-
-@given(small_words, st.integers(0, 8))
-@settings(max_examples=120)
-def test_power_length(a, k):
-    assert lang.word_power(a, k).length == k * a.length
 
 
 @given(small_words)

@@ -262,11 +262,16 @@ def test_compile_mixed():
 
 
 def test_compile_doubles():
-    # a coefficient repeats the witness; it adds no letters
+    # a coefficient is the term's last hand-off e^3; it adds no letters and
+    # leaves the witness and g1 as they are
     single = mtriple.compile_polynomial(x(1, 1))
     c = mtriple.compile_polynomial(poly.polynomial(1, {(1,): 3}))
-    assert c.triple == single.triple
-    assert c.witness == lang.word_power(single.witness, 3)
+    assert c.triple.alphabet == single.triple.alphabet
+    assert c.triple.g1 == single.triple.g1
+    assert c.witness == single.witness
+    assert lang.text(single.triple.g2.image("1.2")) == "e"
+    assert lang.text(c.triple.g2.image("1.2")) == "e^3"
+    assert [c.triple.g2.image(a) for a in ("1.1", "e")] == [single.triple.g2.image(a) for a in ("1.1", "e")]
     assert mtriple.compute_word_level(c, (2,)) == 6
 
 
@@ -285,14 +290,17 @@ def test_compile_with_constant():
         assert mtriple.compute_word_level(c, (n,)) == 2 * n + 1
 
 
-def test_repeat_witness_computes_the_multiple():
-    a = mtriple.monomial_mtriple([1])
-    c = mtriple.repeat_witness(a, 4)
-    assert c.polynomial == poly.polynomial(1, {(1,): 4})
-    assert mtriple.compute_word_level(c, (5,)) == 20
-    for times in (0, -1):
-        with pytest.raises(ValueError):
-            mtriple.repeat_witness(a, times)
+def test_monomial_coefficient_is_the_last_hand_off():
+    c = mtriple.monomial_mtriple([1, 2], 4)
+    assert c.polynomial == poly.polynomial(2, {(1, 2): 4})
+    assert mtriple.compute_word_level(c, (5, 3)) == 4 * 5 * 9
+    assert lang.text(c.witness) == "1.1"
+    # level 1 hands down one letter, level 2 (the last) hands down e^4
+    assert [lang.text(c.triple.g2.image(a)) for a in ("1.2", "2.3")] == ["2.1", "e^4"]
+    assert not any(mtriple.validate(c.triple).values())
+    for coefficient in (0, -1):
+        with pytest.raises(ValueError, match="coefficients must be positive"):
+            mtriple.monomial_mtriple([1], coefficient)
 
 
 def _longest_word(p, point):
@@ -306,13 +314,14 @@ def _longest_word(p, point):
 
 
 @st.composite
-def gadget_cases(draw):
-    """Arity 2-3, at most 4 terms, exponents 0-6, coefficients 1-3, and a point
-    in {1..3}, lowered from its last entry until no word exceeds 3000 letters."""
-    arity = draw(st.integers(2, 3))
-    exponents = st.tuples(*[st.integers(0, 6)] * arity)
+def compile_cases(draw, min_arity, max_exponent, max_coefficient):
+    """Arity min_arity-3, at most 4 terms, exponents 0-max_exponent,
+    coefficients 1-max_coefficient, and a point in {1..3}, lowered from its
+    last entry until no word exceeds 3000 letters."""
+    arity = draw(st.integers(min_arity, 3))
+    exponents = st.tuples(*[st.integers(0, max_exponent)] * arity)
     p = poly.polynomial(arity, draw(st.dictionaries(
-        exponents, st.integers(1, 3), min_size=1, max_size=4)))
+        exponents, st.integers(1, max_coefficient), min_size=1, max_size=4)))
     point = list(draw(st.tuples(*[st.integers(1, 3)] * arity)))
     for k in reversed(range(arity)):
         while point[k] > 1 and _longest_word(p, point) > 3000:
@@ -320,7 +329,7 @@ def gadget_cases(draw):
     return p, tuple(point)
 
 
-@given(gadget_cases())
+@given(compile_cases(2, 6, 3))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_compiled_gadgets_are_lumped_kronecker_powers(case):
     p, point = case
@@ -340,6 +349,31 @@ def test_compiled_gadgets_are_lumped_kronecker_powers(case):
     assert at == len(c.triple.alphabet) - 1
 
 
+@given(compile_cases(1, 3, 7))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_coefficients_are_handed_down_as_powers_of_e(case):
+    p, point = case
+    c = mtriple.compile_polynomial(p)
+    alphabet, g2 = c.triple.alphabet, c.triple.g2
+    # the witness holds each term's first letter once, in term order
+    assert c.witness.length == len(c.witness.runs) == len(p.terms)
+    # g2 maps every letter to at most one run; each term's last level hands
+    # down e^c, and every other hand-off one letter of the next level
+    handoffs = {}
+    for a, img in zip(alphabet.letters, g2.images):
+        assert len(img.runs) <= 1
+        if img.runs:
+            (z, count), = img.runs
+            if z == "e":
+                handoffs[a] = count
+            else:
+                assert count == 1
+    last = alphabet.levels[p.arity - 1]
+    assert sorted(handoffs.values()) == sorted(coeff for _, coeff in p.terms)
+    assert set(handoffs) <= set(last)
+    assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
+
+
 def test_compile_rejects_zero():
     with pytest.raises(ValueError):
         mtriple.compile_polynomial(poly.zero(2))
@@ -349,8 +383,8 @@ def test_parts_sum_check_survives_optimize_flag(run_python):
     # the parts summing to p is a guarantee, so `python -O` must keep the check
     code = (
         "from diomorph import mtriple, poly\n"
-        "good = mtriple.repeat_witness\n"
-        "mtriple.repeat_witness = lambda c, times: good(c, times + 1)\n"
+        "good = mtriple.monomial_mtriple\n"
+        "mtriple.monomial_mtriple = lambda exps, coeff, budget: good(exps, coeff + 1, budget)\n"
         "try:\n"
         "    mtriple.monomial_parts(poly.variable(1, 2))\n"
         "except AssertionError:\n"
@@ -398,8 +432,7 @@ def _reference_direct_sum(left, right):
 
 def _reference_fold(p):
     """compile_polynomial as a pairwise fold of the monomial systems."""
-    parts = [mtriple.repeat_witness(mtriple.monomial_mtriple(exps), coeff)
-             for exps, coeff in p.terms]
+    parts = [mtriple.monomial_mtriple(exps, coeff) for exps, coeff in p.terms]
     acc = parts[0]
     for part in parts[1:]:
         u, v, triple = _reference_direct_sum(acc, part)

@@ -228,25 +228,28 @@ def test_morphism_solvers_raise_when_supports_escape_the_halves(squares_encoder,
 
 
 def test_word_confirmation_cap_boundary(trivial_encoder):
-    # at (1, 3) the two control trajectories need more than 300k runs but fit
-    # the default cap: the bridge verdict stands either way, and only the
-    # default cap adds the word-level confirmation
-    capped = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6), cap=300_000)
+    # at (1, 3) the two control trajectories each need a cap of 45,139 runs:
+    # the bridge verdict stands either way, and only a cap they fit adds the
+    # word-level confirmation
+    capped = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6), cap=45_138)
+    fits = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6), cap=45_139)
     full = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6))
     assert capped.method == "parikh-bridge"
-    assert full.method == "parikh-bridge+word"
-    assert capped.witness == full.witness == (1, 2)
+    assert fits.method == full.method == "parikh-bridge+word"
+    assert capped.witness == fits.witness == full.witness == (1, 2)
     first, second = encode.matrices(trivial_encoder), encode.matrices(trivial_encoder)
     assert first[0] is second[0] and first[1] is second[1]
 
 
 @pytest.mark.parametrize("fixture, s, witness, method", [
-    ("squares_encoder", 4, (1, 1, 2), "parikh-bridge"),
+    ("squares_encoder", 9, (1, 1, 1, 2), "parikh-bridge"),
+    ("squares_encoder", 4, (1, 1, 2), "parikh-bridge+word"),
     ("trivial_encoder", 3, (1, 2), "parikh-bridge+word"),
 ])
 def test_word_confirmation_builds_no_stage_word(fixture, s, witness, method, request, monkeypatch):
-    # squares at (1, 4) exceeds the default cap and trivial at (1, 3) fits it;
-    # letter counts decide both, so no stage is applied one by one
+    # squares at (1, 9) exceeds the default cap, and squares at (1, 4) and
+    # trivial at (1, 3) fit it; letter counts decide all three, so no stage
+    # is applied one by one
     stage_applies, inside = [], []
     plain_apply, plain_apply_generator_word = morph.apply, solve.apply_generator_word
 
@@ -424,11 +427,14 @@ def test_equivalence_report_squares_small(squares_encoder):
 
 # sha256 of the machine rendering at points (1,1), (1,2), (1,4) with oracle
 # bound 5 and solver bound 6, recorded before the report shared one equation
-# per point between its solvers; the output must stay byte-identical
+# per point between its solvers; the output must stay byte-identical.
+# Squares and trivial were recorded again when the coefficients moved to the
+# last hand-off: at (1, 4) their witnesses now fit the expansion cap, and the
+# one-unknown morphism method reads "parikh-bridge+word"
 GOLDEN_REPORT_SHA256 = {
     "toy_encoder": "7be3fc718a96b043fac778dc46d573923f02ef8a23106d20f08df89422272741",
-    "squares_encoder": "1fc706b51e199b90bd880f98a6d4d63be600bea6ef43a4c1a4ee62617bb8eaeb",
-    "trivial_encoder": "1aed676ad5b7c8aae3e3436f286342e204bd9c6a33591d31ff4a224d606b4535",
+    "squares_encoder": "5511727e7d37001e2c7aace7baa0ef03520381f0f0e51a0bb708edc9a91b2674",
+    "trivial_encoder": "df37905ecb674302dc22f3e4d1320fe20ebaa8ee5d4436827707884615385c10",
     "empty_encoder": "3cf1f3a797b6a3ca34229e750d0ae35afcdbc52954600bdcfcc9d916ef90583e",
 }
 
