@@ -19,6 +19,9 @@ morphism's image object itself, so ``compose(f, g)`` reuses g's images
 wherever f maps a letter to one letter, and every empty image of a composite
 is one shared empty word.  A word keeps its letter counts (``Word.counts``)
 and ``matrix_of`` takes its rows from them, so a shared image is counted once.
+``compose`` materializes the images that ``_composite_images`` makes one
+letter at a time; a caller that needs only each image's counts can take
+them from that generator and drop each image in turn.
 
 A sequence of morphisms applied in turn (``apply_stages``) gives the word,
 or the expansion-cap verdict, of chained ``apply`` calls.  The same counts
@@ -32,7 +35,7 @@ run-concatenation loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import lang, matsem
 from .errors import AlphabetMismatch, ExpansionCapExceeded
@@ -220,26 +223,32 @@ def apply_stages(stages: Sequence[Morphism], w: Word, cap: int | None = None) ->
     return lang._normal_word(alphabet, _concatenate(later, position, w.runs, unlimited))
 
 
-def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:
-    """The morphism "f then g"; image tables are materialized eagerly.
+def _composite_images(f: Morphism, g: Morphism, cap: int | None = None) -> Iterator[Word]:
+    """The images of "f then g", one letter at a time, in alphabet order.
 
-    Where f maps a letter to one letter, the composite shares g's image of
-    it; every empty image is one shared empty word.
+    Each is ``apply(g, image of the letter under f, cap)``, so it shares g's
+    image wherever f maps a letter to one letter, and every empty image is
+    one shared empty word.  An image over the cap raises when it is reached.
     """
     if f.alphabet != g.alphabet:
         raise AlphabetMismatch("the two morphisms must share one alphabet")
     empty = lang._normal_word(g.alphabet, ())
-    images = []
     for letter, img in zip(f.alphabet.letters, f.images):
         if not img.runs:
-            images.append(empty)
+            yield empty
             continue
         try:
-            images.append(apply(g, img, cap))
+            composite = apply(g, img, cap)
         except ExpansionCapExceeded as exc:
             raise ExpansionCapExceeded(
                 exc.needed, exc.cap, f"composing: image of letter {letter!r} is too large") from None
-    return Morphism(f.alphabet, tuple(images))
+        yield composite
+
+
+def compose(f: Morphism, g: Morphism, cap: int | None = None) -> Morphism:
+    """The morphism "f then g"; image tables are materialized eagerly,
+    from ``_composite_images``."""
+    return Morphism(f.alphabet, tuple(_composite_images(f, g, cap)))
 
 
 def parikh_vector(w: Word) -> matsem.Vector:

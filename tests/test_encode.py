@@ -147,6 +147,10 @@ GOLDEN_SUITE_SHA256 = {
     # recorded before composites shared one-letter images and words kept
     # their letter counts
     ("squares_encoder", "staged-bound-1"): "611f1268c3bae55fb995251173545cccbe3f09258d4ce666e8d681faf1537b67",
+    # recorded before words of the last length were checked image by image;
+    # at max-len 5 the composite of 11111 exceeds the cap, though 1111 fits
+    ("squares_encoder", "functoriality"): "80b6906478c5f798138bddfc3524765905cd60f2288370b3f58a98e168338ba3",
+    ("squares_encoder", "functoriality-max-len-5"): "ee09e8b75dd7357fd8a2ae7c23e04e7805fd1d4fa0075eca8495d1caaec344e8",
 }
 SUITES = {
     "conditions": encode.condition_suite,
@@ -154,6 +158,7 @@ SUITES = {
     "staged": encode.staged_evaluation_suite,
     "staged-bound-1": lambda enc: encode.staged_evaluation_suite(enc, bound=1),
     "functoriality": encode.functoriality_suite,
+    "functoriality-max-len-5": lambda enc: encode.functoriality_suite(enc, max_len=5),
 }
 
 
@@ -196,6 +201,37 @@ def test_loading_and_generator_matrices_retain_no_more_memory(squares_encoder):
     counted = retained(encode.matrices)
     uncounted = retained(lambda enc: (fresh_rows(enc.g1), fresh_rows(enc.g2)))
     assert counted <= uncounted + 16 * 1024
+
+
+def test_functoriality_keeps_no_composite_of_the_last_length(squares_encoder):
+    """Words of the last length are checked image by image.
+
+    At max-len 3 the suite keeps the composites of length 2 and their
+    products, and builds each image of a length-3 composite only to compare
+    its counts.  So its tracemalloc peak (4.5 MB under Python 3.11) stays
+    below that of merely holding every composite up to length 3 at once
+    (5.3 MB); keeping them all with their products peaks at 8.1 MB.
+    """
+    enc = squares_encoder
+    encode.matrices(enc)  # cached on the encoder: outside both measurements
+
+    def peak(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = build()  # noqa: F841 -- held while measuring
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def every_composite():
+        comp = {(): morph.identity_morphism(enc.alphabet)}
+        for w in itertools.islice(generator_words(3), 1, None):  # past the empty word
+            comp[w] = morph.compose(enc.generator(w[0]), comp[w[1:]])
+        return comp
+
+    suite = peak(lambda: encode.functoriality_suite(enc, max_len=3))
+    assert suite < peak(every_composite)
 
 
 def test_witnesses_are_tagged_translations(toy_encoder):
@@ -501,6 +537,43 @@ def test_functoriality_single_step_by_hand(toy_encoder):
     m1, m2 = encode.matrices(enc)
     composite = morph.compose(enc.g1, enc.g2)
     assert morph.matrix_of(composite) == matsem.mat_mul(m1, m2)
+
+
+def _g1_with_row(enc, letter, change):
+    """The generator matrices with g1's row for ``letter`` replaced by
+    ``change(row)``; a row of ``None`` is dropped."""
+    m1, m2 = encode.matrices(enc)
+    i = enc.alphabet.index_of(letter)
+    assert i in m2.cols  # some g2 image holds the letter, so g2·g1 sees the change
+    rows = dict(m1.rows)
+    rows.pop(i, None)
+    row = change(m1.rows.get(i))
+    if row is not None:
+        rows[i] = row
+    return matsem._from_rows(m1.dimension, rows), m2
+
+
+def _extra_row(row):
+    assert row is None  # the letter's g1 image is empty
+    return {0: 1}
+
+
+@pytest.mark.parametrize("letter,change", [
+    ("c2", lambda row: {c: v + 1 for c, v in row.items()}),
+    ("e", _extra_row),
+    ("c2", lambda row: None),
+], ids=["changed-row", "extra-row", "missing-row"])
+@pytest.mark.parametrize("max_len,failing", [
+    (1, {"word 1"}),  # only the last length, checked image by image
+    (2, {"word 1", "word 21"}),  # a kept composite and a last-length word
+], ids=["max-len-1", "max-len-2"])
+def test_functoriality_fails_where_products_disagree(
+        toy_encoder, monkeypatch, letter, change, max_len, failing):
+    broken = _g1_with_row(toy_encoder, letter, change)
+    monkeypatch.setattr(encode, "matrices", lambda enc: broken)
+    report = encode.functoriality_suite(toy_encoder, max_len=max_len)
+    assert not report.passed
+    assert failing <= {c.name for c in report.failures()}
 
 
 def test_probe_letters_start_with_controls(toy_encoder):
