@@ -644,11 +644,12 @@ def _probe_letters(enc: Encoder) -> tuple[Letter, ...]:
 
 def _rows_match(images: Iterable[Word], product: matsem.SparseMatrix) -> bool:
     """Whether ``product`` is the letter-count matrix of ``images``, taken in
-    alphabet order and each dropped after its row is compared.
+    alphabet order.
 
     Exactly ``matrix_of`` equality: every nonempty image's counts equal the
-    product's row for its letter, and the product has no other rows.  Every
-    image is built, even after a row differs, so that an image over the
+    product's row for its letter, and the product has no other rows.  Images
+    are read one at a time, so a generator of them holds one image at once;
+    every image is read, even after a row differs, so that an image over the
     expansion cap raises as it does in ``compose``.
     """
     rows = product.rows
@@ -708,9 +709,10 @@ def functoriality_suite(enc: Encoder, max_len: int = 4, cap: int | None = None) 
                 try:
                     if kept:
                         comp[w] = composed = compose(gens[w[0]], parent, cap=cap)
-                        matches = matrix_of(composed) == product
+                        images = composed.images
                     else:
-                        matches = _rows_match(_composite_images(gens[w[0]], parent, cap), product)
+                        images = _composite_images(gens[w[0]], parent, cap)
+                    matches = _rows_match(images, product)
                 except ExpansionCapExceeded:
                     pass
             if matches is not None:
