@@ -9,12 +9,17 @@ p = q on positive integers.
 Construction outline.  Both polynomials are first composed with an injective
 tupling polynomial so that the last argument slot records the polynomial
 value alongside the input tuple (see :func:`diomorph.poly.injective_tupling`).
-The two tupled polynomials become two staged counters: the monomial
-gadgets of both are laid out side by side in one pass, straight from their
-exponents (:func:`diomorph.mtriple.lay_out_monomials`), the first
-polynomial's letters tagged ``A:`` and the second's ``B:``, each counter
-named exactly as :func:`diomorph.mtriple.compile_polynomial` would name it
-alone, and four fresh control letters ``c0..c3`` are prepended.  The
+The two tupled polynomials become two staged counters.  Each is a prefix
+tree of its terms' exponent vectors: a node at level k is one power-gadget
+block for the exponent a_k, shared by every term whose first k exponents
+agree; g2 hands a block's last letter down to its children's first
+letters, and a leaf down to e^c for its term's coefficient c.  Both trees
+are laid out level by level in one pass, straight from the exponents
+(:func:`diomorph.mtriple.lay_out_monomials`), the first polynomial's
+letters tagged ``A:`` and the second's ``B:``, each counter named exactly
+as :func:`diomorph.mtriple.compile_polynomial` would name it alone, and
+four fresh control letters ``c0..c3`` are prepended.  The witnesses u and
+v hold each counter's root blocks' first letters once.  The
 control letters steer which counter an equation side addresses:
 
 * ``c0 . g2 = c1``, ``c1 . g2 = c2``, ``c2 . g2 = c3``, ``c3 . g2 = c3``;
@@ -125,10 +130,12 @@ def build_encoder(p: poly.Polynomial, q: poly.Polynomial, budget: int | None = N
 
     Both polynomials are tupled with the (t+1)-ary iterated pairing
     construction (:func:`diomorph.poly.injective_tupling`), which is
-    injective on positive tuples.  ``budget`` bounds each monomial gadget and
-    the merged alphabet size.  The gadgets are laid out straight from the
-    exponents (:func:`diomorph.mtriple.lay_out_monomials`); no per-term
-    system is built.
+    injective on positive tuples.  Each tupled polynomial is laid out as a
+    prefix tree of gadget blocks straight from its exponents
+    (:func:`diomorph.mtriple.lay_out_monomials`): terms that share their
+    first k exponents share those k blocks, and no per-term system is
+    built.  ``budget`` bounds each term's chain of blocks and the merged
+    alphabet size.
     """
     t = p.arity
     if q.arity != t:

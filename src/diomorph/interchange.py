@@ -30,6 +30,10 @@ from .matsem import SparseMatrix
 from .morph import Morphism, endomorphism
 
 
+# version 2: each tupled polynomial is laid out as a prefix tree of its terms
+ENCODER_VERSION = 2
+
+
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -103,7 +107,7 @@ def morphism_from_doc(doc: dict, alphabet: LeveledAlphabet) -> Morphism:
 def encoder_to_doc(enc: Encoder) -> dict:
     return {
         "format": "diomorph-encoder",
-        "version": 1,
+        "version": ENCODER_VERSION,
         "dimension": enc.dimension,
         "alphabet": alphabet_to_doc(enc.alphabet),
         "g1": morphism_to_doc(enc.g1),
@@ -128,8 +132,11 @@ def encoder_from_doc(doc: dict) -> Encoder:
     if doc.get("format") != "diomorph-encoder":
         raise ValueError("not an encoder document (missing format marker)")
     version = read_int(doc["version"], "version")
-    if version != 1:
-        raise InvalidEncoder(f"encoder document version must be 1, got {version}")
+    if version == 1:
+        raise InvalidEncoder("encoder document version 1 lays out one chain of gadget blocks per term; "
+                             "recompile it from p and q with `diomorph compile`")
+    if version != ENCODER_VERSION:
+        raise InvalidEncoder(f"encoder document version must be {ENCODER_VERSION}, got {version}")
     abc = alphabet_from_doc(doc["alphabet"])
     t = read_int(doc["dimension"], "dimension")
     p, q = polynomial_from_doc(doc["p"]), polynomial_from_doc(doc["q"])

@@ -11,22 +11,24 @@ Built here:
 
 * validation of the five defining conditions (plus triangularity): a table
   from each condition's name to the letters that violate it;
-* monomial systems for c · x₁^{α₁} ⋯ x_t^{α_t}, whose level for an
-  exponent k ≥ 1 is the power gadget: k + 1 letters, letter i mapping to
-  the product over j ≥ i of letter j to the power C(k − i, j − i), so that
-  n-fold iteration turns the first into n^k copies of the last.  Its count
-  matrix is the k-fold Kronecker power of [[1,1],[0,1]] lumped by subset
-  size: letter i stands for the subsets of {1..k} of size i.  Exponent zero
-  gets two letters a -> b, b -> b.  The witness is the first letter once;
-  the coefficient c is the last hand-off, g2 mapping the last level's last
-  letter to e^c (g2 of e is ε, so g2 still erases squares);
-* one letter layout (``_place``) that names any number of systems side by
-  side, level by level, in a single pass (a disjoint union sharing one e);
-* two routines that fill the images into that layout: ``lay_out``
-  translates the images of built systems, and ``lay_out_monomials`` (which
-  the encoder and ``compile_polynomial`` use) writes every gadget straight
-  from the polynomials' exponents, without a system or a renaming per
-  term; ``lay_out`` of ``monomial_parts`` stays as its reference;
+* power gadgets: the level of a monomial c · x₁^{α₁} ⋯ x_t^{α_t} for an
+  exponent k ≥ 1 is k + 1 letters, letter i mapping to the product over
+  j ≥ i of letter j to the power C(k − i, j − i), so that n-fold iteration
+  turns the first into n^k copies of the last.  Its count matrix is the
+  k-fold Kronecker power of [[1,1],[0,1]] lumped by subset size: letter i
+  stands for the subsets of {1..k} of size i.  Exponent zero gets two
+  letters a -> b, b -> b;
+* one letter layout (``_place``) that names blocks level by level in a
+  single pass, any number of them per level, all sharing one e;
+* a polynomial's system as a prefix tree of its terms' exponent vectors
+  (``lay_out_monomials``, which the encoder and ``compile_polynomial``
+  use): a node at level k is one gadget block for a_k, shared by every
+  term whose first k exponents agree.  g2 hands a block's last letter down
+  to the first letters of its children, once each, and a leaf down to
+  e^c for its term's coefficient c (g2 of e is ε, so g2 still erases
+  squares); the witness holds the root blocks' first letters once each;
+* ``lay_out``, which lays built systems side by side, each a chain of
+  blocks (``direct_sum_maps``);
 * word-level evaluation of a compiled map at a point.
 """
 
@@ -156,132 +158,68 @@ def _gadget_runs(exponent: int) -> int:
     return (exponent + 1) * (exponent + 2) // 2 if exponent else 2
 
 
-# ------------------------------------------------------------------ monomials
+# ------------------------------------------------------------------ layout
 
-def _monomial_sizes(exponents: Sequence[int], budget: int | None) -> list[int]:
-    """Level sizes of the monomial system for these exponents, checked against the budget."""
-    if len(exponents) < 1:
-        raise ValueError("need at least one exponent")
-    if any(a < 0 for a in exponents):
-        raise ValueError("exponents must be nonnegative")
-    limit = alphabet_budget(budget)
-    sizes = [max(a, 1) + 1 for a in exponents]
-    if sum(sizes) + 1 > limit:
-        raise AlphabetBudgetExceeded(sum(sizes) + 1, limit,
-                                     f"monomial with exponents {tuple(exponents)}")
-    return sizes
-
-
-def _place_gadgets(terms: Sequence[Sequence[int]], level_sizes: Sequence[Sequence[int]],
-                   tags: Sequence[str], head: Sequence[Letter], budget: int | None,
-                   context: str) -> tuple[LeveledAlphabet, list[list[int]]]:
-    """:func:`_place` for monomial systems with these exponents and level sizes,
-    after refusing a layout whose gadget images would hold more runs, all
-    levels together, than the default expansion cap.  The runs grow with the
-    square of an exponent and the letters only linearly, and every letter's
-    image holds a run, so the refusal also bounds the letters named, under
-    any budget."""
-    runs = sum(_gadget_runs(a) for exponents in terms for a in exponents)
-    cap = expansion_cap(None)
-    if runs > cap:
-        raise ExpansionCapExceeded(runs, cap, f"power gadget runs of the {context}")
-    return _place(level_sizes, tags, head, budget, context)
-
-
-def monomial_mtriple(exponents: Sequence[int], coefficient: int = 1,
-                     budget: int | None = None) -> ComputableMap:
-    """The system computing c · x₁^{α₁} ⋯ x_t^{α_t}, with the first letter as
-    witness: the last level's last letter hands down e^c."""
-    if coefficient < 1:
-        raise ValueError("coefficients must be positive")
-    t = len(exponents)
-    alphabet, _ = _place_gadgets([exponents], [_monomial_sizes(exponents, budget)], [""], (),
-                                 budget, "monomial")
-    levels = alphabet.levels
-    eps = lang.epsilon(alphabet)
-
-    table1 = {"e": eps}
-    for li, exponent in enumerate(exponents, start=1):
-        block = levels[li - 1]
-        for local, image_runs in enumerate(_block_images(exponent)):
-            table1[block[local]] = lang.word_from_runs(alphabet, [(block[j], n) for j, n in image_runs])
-    g1 = morph.endomorphism(alphabet, table1)
-
-    table2 = {a: eps for a in alphabet.letters}
-    for li in range(1, t + 1):
-        last = levels[li - 1][-1]
-        first_of_next = levels[li][0]  # level t feeds the final letter, c times
-        table2[last] = lang.letter_power(alphabet, first_of_next, coefficient if li == t else 1)
-    g2 = morph.endomorphism(alphabet, table2)
-
-    triple = MTriple(alphabet, g1, g2, t)
-    witness = lang.word(alphabet, [levels[0][0]])
-    monomial = poly.polynomial(t, {tuple(exponents): coefficient})
-    return ComputableMap(triple, witness, monomial)
-
-
-# ------------------------------------------------------------------ combination
-
-def _place(level_sizes: Sequence[Sequence[int]], tags: Sequence[str], head: Sequence[Letter],
+def _place(levels: Sequence[Sequence[tuple[str, int]]], head: Sequence[Letter],
            budget: int | None, context: str) -> tuple[LeveledAlphabet, list[list[int]]]:
-    """Name the letters of systems laid side by side, level by level, in one pass.
+    """Name the letters of gadget blocks laid out level by level, in one pass.
 
-    ``level_sizes[k]`` lists system k's level sizes, its final letter left
-    out.  Within each level, system k's block follows the blocks of systems
-    1..k-1, and its letters are named "{tag}{level}.{position}", where the
-    positions count only the systems sharing system k's tag ``tags[k]``.
-    The final letter e is shared and the ``head`` letters open the first
-    level.  Returns the merged alphabet and, per system, the index of its
-    first letter in each level, then the index of e.  Errors: differing
-    dimensions, then the merged total against ``budget`` (named by
-    ``context``).
+    ``levels[li]`` lists level li + 1's blocks in placement order as
+    ``(tag, size)`` pairs.  A block's letters are named
+    "{tag}{level}.{position}", where the positions count only the blocks of
+    that level sharing its tag.  The ``head`` letters open the first level
+    and one final letter e closes the alphabet.  Returns the merged alphabet
+    and, per level, the index of each block's first letter.  The merged
+    total is checked against ``budget`` (named by ``context``) before any
+    letter is named.
     """
-    t = len(level_sizes[0])
-    for sizes in level_sizes:
-        if len(sizes) != t:
-            raise DimensionMismatch(f"dimensions {t} and {len(sizes)} differ")
-    starts = [[0] * (t + 1) for _ in level_sizes]
+    needed = len(head) + sum(size for blocks in levels for _, size in blocks) + 1
+    limit = alphabet_budget(budget)
+    if needed > limit:
+        raise AlphabetBudgetExceeded(needed, limit, context)
     letters: list[Letter] = list(head)
     merged_sizes: list[int] = []
-    for li in range(t):
-        filled = dict.fromkeys(tags, 0)
-        for sizes, tag, start in zip(level_sizes, tags, starts):
-            start[li] = len(letters)
-            at = filled[tag]
-            letters += [f"{tag}{li + 1}.{j}" for j in range(at + 1, at + sizes[li] + 1)]
-            filled[tag] = at + sizes[li]
+    starts: list[list[int]] = []
+    for li, blocks in enumerate(levels, start=1):
+        filled: dict[str, int] = {}
+        starts.append([])
+        for tag, size in blocks:
+            starts[-1].append(len(letters))
+            at = filled.get(tag, 0)
+            letters += [f"{tag}{li}.{j}" for j in range(at + 1, at + size + 1)]
+            filled[tag] = at + size
         merged_sizes.append(len(letters) - sum(merged_sizes))
-    for start in starts:
-        start[t] = len(letters)
     letters.append("e")
     merged_sizes.append(1)
-    limit = alphabet_budget(budget)
-    if len(letters) > limit:
-        raise AlphabetBudgetExceeded(len(letters), limit, context)
     return LeveledAlphabet(tuple(letters), tuple(merged_sizes)), starts
 
 
-def lay_out(systems: Sequence[ComputableMap], tags: Sequence[str] | None = None,
-            head: Sequence[Letter] = (), budget: int | None = None,
-            context: str = "side-by-side layout",
+def lay_out(systems: Sequence[ComputableMap], context: str,
             ) -> tuple[LeveledAlphabet, dict[Letter, Word], dict[Letter, Word], list[Word]]:
-    """Lay systems of equal dimension side by side, as :func:`_place` names them.
+    """Lay systems of equal dimension side by side, as :func:`_place` names
+    them with one empty tag: each system is a chain of blocks, one per level.
 
-    No tags means one shared empty tag.  Returns the merged alphabet, the g1
-    and g2 image tables (every image translated once; the caller supplies
-    the head letters' images) and each system's translated witness.
+    Returns the merged alphabet, the g1 and g2 image tables (every image
+    translated once) and each system's translated witness.  Errors:
+    differing dimensions, then the merged total against the default budget
+    (named by ``context``).
     """
-    tags = tags or [""] * len(systems)
-    merged, starts = _place([c.triple.alphabet.level_sizes[:-1] for c in systems], tags, head,
-                            budget, context)
+    t = systems[0].triple.dimension
+    for c in systems:
+        if c.triple.dimension != t:
+            raise DimensionMismatch(f"dimensions {t} and {c.triple.dimension} differ")
+    merged, starts = _place(
+        [[("", c.triple.alphabet.level_sizes[li]) for c in systems] for li in range(t)], (), None, context)
     eps = lang.epsilon(merged)
     g1: dict[Letter, Word] = {"e": eps}
     g2: dict[Letter, Word] = {"e": eps}
     witnesses = []
-    for c, start in zip(systems, starts):
+    final = len(merged) - 1
+    for k, c in enumerate(systems):
         triple = c.triple
         renaming = {a: merged.letters[at + j]  # the final level's one letter goes to e
-                    for block, at in zip(triple.alphabet.levels, start) for j, a in enumerate(block)}
+                    for block, at in zip(triple.alphabet.levels, [s[k] for s in starts] + [final])
+                    for j, a in enumerate(block)}
         for a, image1, image2 in zip(triple.alphabet.letters[:-1], triple.g1.images, triple.g2.images):
             g1[renaming[a]] = lang.translate(image1, renaming, merged)
             g2[renaming[a]] = lang.translate(image2, renaming, merged)
@@ -289,56 +227,107 @@ def lay_out(systems: Sequence[ComputableMap], tags: Sequence[str] | None = None,
     return merged, g1, g2, witnesses
 
 
+def _check_exponents(exponents: Sequence[int], budget: int | None) -> None:
+    """Refuse a term without exponents or with a negative one, and a term
+    whose chain of blocks alone, with e, is over the budget."""
+    if len(exponents) < 1:
+        raise ValueError("need at least one exponent")
+    if any(a < 0 for a in exponents):
+        raise ValueError("exponents must be nonnegative")
+    limit = alphabet_budget(budget)
+    needed = sum(max(a, 1) + 1 for a in exponents) + 1
+    if needed > limit:
+        raise AlphabetBudgetExceeded(needed, limit, f"monomial with exponents {tuple(exponents)}")
+
+
 def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str] | None = None,
                       head: Sequence[Letter] = (), budget: int | None = None,
                       context: str = "side-by-side layout",
                       ) -> tuple[LeveledAlphabet, dict[Letter, Word], dict[Letter, Word], list[Word]]:
-    """:func:`lay_out` of the polynomials' monomial systems, built from the exponents alone.
+    """Lay out each polynomial as a prefix tree of its terms' exponent vectors.
 
-    Returns what ``lay_out`` returns for the :func:`monomial_parts` of all
-    polynomials in order, polynomial k's terms tagged ``tags[k]``, except
-    that each polynomial has one witness: its terms' first letters, once
-    each.  A term's coefficient c is its last hand-off, e^c under g2.
-    No per-term system is built and nothing is translated: the images are
-    filled straight into the merged alphabet, each level gadget's image
-    runs are computed once per exponent, and the images, normal by
-    construction, share one empty word.  Errors are those of that path, in
-    its order: per polynomial, a zero polynomial, then per term the monomial
-    checks; then the gadget runs of all terms together against the default
-    expansion cap (that path checks each term's runs alone); then differing
-    arities; then the merged total against ``budget`` (named by ``context``).
+    A node at level k is one power-gadget block for the exponent a_k, and
+    every term of a polynomial whose first k exponents agree shares it.
+    Within each level the blocks follow polynomial by polynomial, each
+    polynomial's nodes in order of their first appearance in its terms,
+    polynomial k's letters tagged ``tags[k]`` (no tags: one empty tag), as
+    :func:`_place` names them.  Under g2 a block's last letter hands down to
+    the first letters of its children, once each, in placement order; a
+    leaf, which ends exactly one term, hands down e^c for that term's
+    coefficient c.  Each polynomial's witness holds its root blocks' first
+    letters, once each.  So a leaf is reached by the product of its
+    ancestors' counts, and the letter count of e after the last level is
+    the polynomial's value.
+
+    Returns the merged alphabet, the g1 and g2 image tables (the caller
+    supplies the head letters' images) and each polynomial's witness.  The
+    images are filled straight into the merged alphabet, each gadget's
+    image runs are computed once per exponent, and the images, normal by
+    construction, share one empty word.  Errors, in order: per polynomial,
+    a zero polynomial, then per term an empty or negative exponent vector
+    or a chain of blocks over ``budget`` alone; then differing arities;
+    then the gadget runs of all blocks together against the default
+    expansion cap; then the merged total against ``budget`` (named by
+    ``context``).
     """
-    systems, level_sizes = [], []
-    for k, p in enumerate(polynomials):
+    for p in polynomials:
         if p.is_zero:
             raise ValueError("cannot compile the zero polynomial")
-        for exponents, coeff in p.terms:
-            level_sizes.append(_monomial_sizes(exponents, budget))
-            systems.append((k, exponents, coeff))
+        for exponents, _ in p.terms:
+            _check_exponents(exponents, budget)
+    t = polynomials[0].arity
+    for p in polynomials:
+        if p.arity != t:
+            raise DimensionMismatch(f"dimensions {t} and {p.arity} differ")
     tags = tags or [""] * len(polynomials)
-    merged, starts = _place_gadgets([exponents for _, exponents, _ in systems], level_sizes,
-                                    [tags[k] for k, _, _ in systems], head, budget, context)
+
+    # per level, each node's (tag, exponent) and what its last letter hands
+    # down: the indices of its children in the next level, or a coefficient
+    blocks: list[list[tuple[str, int]]] = [[] for _ in range(t)]
+    handoffs: list[list[list[int] | int]] = [[] for _ in range(t)]
+    roots: list[list[int]] = [[] for _ in polynomials]
+    for k, p in enumerate(polynomials):
+        nodes: dict[tuple[int, ...], int] = {}  # prefix -> index in its level
+        for exponents, coeff in p.terms:
+            for li in range(t):
+                prefix = exponents[:li + 1]
+                if prefix in nodes:
+                    continue
+                nodes[prefix] = node = len(blocks[li])
+                blocks[li].append((tags[k], exponents[li]))
+                handoffs[li].append(coeff if li == t - 1 else [])
+                if li == 0:
+                    roots[k].append(node)
+                else:
+                    handoffs[li - 1][nodes[prefix[:-1]]].append(node)
+
+    # the runs grow with the square of an exponent and the letters only
+    # linearly, and every letter's image holds a run, so refusing the runs
+    # before naming a letter also bounds the letters named, under any budget
+    runs = sum(_gadget_runs(a) for level in blocks for _, a in level)
+    cap = expansion_cap(None)
+    if runs > cap:
+        raise ExpansionCapExceeded(runs, cap, f"power gadget runs of the {context}")
+    merged, starts = _place([[(tag, max(a, 1) + 1) for tag, a in level] for level in blocks],
+                            head, budget, context)
 
     letters = merged.letters
     eps = lang.epsilon(merged)
     g1: dict[Letter, Word] = {"e": eps}
     g2: dict[Letter, Word] = {"e": eps}
     gadgets: dict[int, list[list[tuple[int, int]]]] = {}
-    witness_runs: list[list[tuple[Letter, int]]] = [[] for _ in polynomials]
-    for (k, exponents, coeff), start in zip(systems, starts):
-        witness_runs[k].append((letters[start[0]], 1))
-        for li, exponent in enumerate(exponents):
+    for li, level in enumerate(blocks):
+        for (_, exponent), at, handoff in zip(level, starts[li], handoffs[li]):
             if exponent not in gadgets:
                 gadgets[exponent] = _block_images(exponent)
-            at = start[li]
-            for i, runs in enumerate(gadgets[exponent], start=at):
-                g1[letters[i]] = lang._normal_word(merged, tuple((letters[at + j], n) for j, n in runs))
+            for i, image_runs in enumerate(gadgets[exponent], start=at):
+                g1[letters[i]] = lang._normal_word(merged, tuple((letters[at + j], n) for j, n in image_runs))
                 g2[letters[i]] = eps
-            # the block's last letter hands down to the system's next level,
-            # or from the last level to e^coeff
-            count = coeff if li == len(exponents) - 1 else 1
-            g2[letters[i]] = lang._normal_word(merged, ((letters[start[li + 1]], count),))
-    witnesses = [lang._normal_word(merged, tuple(runs)) for runs in witness_runs]
+            g2[letters[i]] = lang._normal_word(
+                merged, (("e", handoff),) if li == t - 1
+                else tuple((letters[starts[li + 1][child]], 1) for child in handoff))
+    witnesses = [lang._normal_word(merged, tuple((letters[starts[0][node]], 1) for node in nodes))
+                 for nodes in roots]
     return merged, g1, g2, witnesses
 
 
@@ -355,28 +344,11 @@ def direct_sum_maps(left: ComputableMap, right: ComputableMap) -> tuple[Computab
     return ComputableMap(triple, u, left.polynomial), ComputableMap(triple, v, right.polynomial)
 
 
-def monomial_parts(p: poly.Polynomial, budget: int | None = None) -> list[ComputableMap]:
-    """One monomial system per term of a nonzero polynomial, in term order.
-
-    Each coefficient enters as the power of e that the term's last
-    hand-off writes, never by duplicating alphabet letters or witnesses.
-    """
-    if p.is_zero:
-        raise ValueError("cannot compile the zero polynomial")
-    parts = [monomial_mtriple(exps, coeff, budget) for exps, coeff in p.terms]
-    if poly.polynomial(p.arity, [term for c in parts for term in c.polynomial.terms]) != p:
-        raise AssertionError("monomial systems do not sum to the polynomial")
-    return parts
-
-
 def compile_polynomial(p: poly.Polynomial) -> ComputableMap:
-    """Lay out the monomial systems of a nonzero polynomial as one map,
-    with the layout the encoder runs (:func:`lay_out_monomials`).
-
-    The witness is the concatenation of the parts' witnesses in term order:
-    each term's first letter, once.
-    """
-    merged, g1, g2, (witness,) = lay_out_monomials([p], context="monomial systems of one polynomial")
+    """The system of a nonzero polynomial: its prefix tree of gadget blocks,
+    as the encoder lays it out (:func:`lay_out_monomials`), with the root
+    blocks' first letters as witness."""
+    merged, g1, g2, (witness,) = lay_out_monomials([p], context="prefix tree of one polynomial")
     triple = MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),
                      p.arity)
     return ComputableMap(triple, witness, p)

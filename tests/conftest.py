@@ -2,8 +2,8 @@
 for fresh interpreters; and a wall-clock limit on every single test.
 
 The encoders are session-scoped — building the three-variable instance
-compiles two polynomials with dozens of monomials into a 1550-letter
-alphabet, which is too slow to repeat per test.
+compiles two polynomials with dozens of monomials into an alphabet of
+about 800 letters, which is too slow to repeat per test.
 
 The limit turns a test that stalls (say, on a wrong matrix product that
 makes a search run on) into a failure of that test, so that the rest of

@@ -60,9 +60,9 @@ def test_01_compiled_maps_match_polynomial_evaluation():
 
 def test_02_power_gadget_letter_counts():
     with criterion("power gadget letter counts"):
-        # the first level of the monomial system for x1^k is the power gadget
+        # the first level of the system of x1^k is the power gadget
         for k in (1, 2, 3):
-            c = mtriple.monomial_mtriple((k,))
+            c = mtriple.compile_polynomial(poly.polynomial(1, {(k,): 1}))
             last = c.triple.alphabet.index_of(c.triple.level(1)[-1])
             current = c.witness
             for n in range(1, 6):

@@ -28,11 +28,10 @@ TEST_ONLY = {
     "encode.p_side_morphism": "reference for matsem.p_side_matrix",
     "encode.q_side_morphism": "reference for matsem.q_side_matrix",
     "mtriple.compute_word_level": "the evaluation oracle of acceptance test_01",
-    "mtriple.monomial_parts": "with lay_out, the reference that lay_out_monomials is compared against",
     "matsem.from_dense": "builds test matrices from dense rows",
     "lang.flat_alphabet": "builds one-level test alphabets",
     "lang.leveled_alphabet": "builds test alphabets from their levels",
-    "lang.word_concat": "concatenates the reference layout's witnesses",
+    "lang.word_concat": "concatenates words in the lang and morph tests",
     "poly.add": "builds test polynomials",
     "poly.zero": "builds the zero polynomial that compiling refuses",
     "morph.Morphism.table": "copies an image table so that a test can corrupt it",

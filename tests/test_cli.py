@@ -113,12 +113,12 @@ def test_budget_env_variable_is_honoured(toy_files, monkeypatch, capsys):
 
 
 def test_compile_budget_boundary(toy_files, tmp_path, capsys):
-    # the toy encoder has exactly 143 letters
+    # the toy encoder has exactly 105 letters
     p_path, q_path = toy_files
     base = ["compile", "--p", p_path, "--q", q_path, "-o", str(tmp_path / "enc.json")]
-    assert main(base + ["--alphabet-budget", "143"]) == cli.EXIT_OK
-    assert main(base + ["--alphabet-budget", "142"]) == cli.EXIT_BUDGET
-    assert "needs 143 > budget 142" in capsys.readouterr().err
+    assert main(base + ["--alphabet-budget", "105"]) == cli.EXIT_OK
+    assert main(base + ["--alphabet-budget", "104"]) == cli.EXIT_BUDGET
+    assert "needs 105 > budget 104" in capsys.readouterr().err
 
 
 def test_compile_refuses_a_huge_exponent_without_computing_its_gadget(toy_files, capsys):
@@ -142,14 +142,17 @@ def _limit_address_space():
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_compile_refuses_quadratic_gadget_runs_before_building_them(flags, run_python):
     # x2^1000 against x3, tupled on four slots, fits the letter budget, but its
-    # gadgets' g1 images would hold (a + 1)(a + 2)/2 runs per level of
-    # exponent a >= 1 (2 for a = 0): over ten million, refused before any is built
+    # gadgets' g1 images would hold (a + 1)(a + 2)/2 runs per block of
+    # exponent a >= 1 (2 for a = 0), one block per distinct prefix of a
+    # tupled polynomial's exponent vectors: over eight million, refused
+    # before any is built
     p, q = poly.polynomial(3, {(0, 1000, 0): 1}), poly.variable(3, 3)
     tupling = poly.injective_tupling(4)
-    runs = sum((a + 1) * (a + 2) // 2 if a else 2
-               for side in (p, q) for exponents, _ in encode.tupled(side, tupling).terms
-               for a in exponents)
-    assert runs == 10_551_244
+    runs = sum((prefix[-1] + 1) * (prefix[-1] + 2) // 2 if prefix[-1] else 2
+               for side in (p, q)
+               for prefix in {exponents[:k] for exponents, _ in encode.tupled(side, tupling).terms
+                              for k in range(1, 4)})
+    assert runs == 8_540_382
     start = time.perf_counter()
     run = run_python(
         *flags, "-m", "diomorph.cli", "compile", "-t", "3", "-o", os.devnull,
@@ -473,7 +476,9 @@ CORRUPTED_ENCODERS = {
     _differs("u"): lambda doc: doc.update(u=doc["u"] + " e"),
     _differs("v"): lambda doc: doc.update(v=doc["v"].replace("B:1.1 ", "", 1)),
     _differs("alphabet"): _swap_first_level_letters,
-    "encoder document version must be 1, got 2": lambda doc: doc.update(version=2),
+    "encoder document version must be 2, got 3": lambda doc: doc.update(version=3),
+    ("encoder document version 1 lays out one chain of gadget blocks per term; "
+     "recompile it from p and q with `diomorph compile`"): lambda doc: doc.update(version=1),
 }
 RECOMPILE_COMMANDS = {
     "solve": ["solve", "-n", "2", "-s", "2", "--max-len", "3", "--level", "both"],
@@ -500,7 +505,7 @@ def test_loading_refuses_a_document_that_differs_from_its_recompilation(
 
 
 def test_alphabet_budget_does_not_reach_loading(toy_encoder_file, monkeypatch, capsys):
-    # the rebuild's budget is the document's own letter count (227 here)
+    # the rebuild's budget is the document's own letter count (105 here)
     args = ["solve", "--encoder", toy_encoder_file, "-n", "2", "-s", "2",
             "--max-len", "3", "--level", "both", "--format", "machine"]
     assert main(args) == cli.EXIT_OK
@@ -511,7 +516,7 @@ def test_alphabet_budget_does_not_reach_loading(toy_encoder_file, monkeypatch, c
 
 
 def test_loading_refuses_polynomials_that_need_more_letters(toy_encoder, tmp_path, capsys):
-    # a consistent larger pair (x1³ against x2 needs 174 letters) in the toy
+    # a consistent larger pair (x1³ against x2 needs 127 letters) in the toy
     # alphabet: the rebuild runs out of letters, which is bad input (2), not a
     # budget the user set (3)
     doc = interchange.encoder_to_doc(toy_encoder)
@@ -525,7 +530,7 @@ def test_loading_refuses_polynomials_that_need_more_letters(toy_encoder, tmp_pat
     assert main(args) == cli.EXIT_BAD_INPUT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: recompiling p and q needs more than the 143 letters")
+    assert err.startswith("error: recompiling p and q needs more than the 105 letters")
     assert err.count("\n") == 1
 
 
@@ -594,8 +599,9 @@ def test_verify_detects_corruption(toy_encoder_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_verify_staged_cap_names_the_stage_and_the_lower_bound(flags, squares_files, run_python):
-    # c0 under g2 g2 g1 g2 meets g1's image of c2 (286 runs) at stage 3;
-    # letter counts decide the cap there, before any stage word is built
+    # c0 under g2 g2 g1 g2 stays under the cap (g1's image of c2 holds 45
+    # runs); under g2 g2 g1 g2 g1 g2 the letter counts bound stage 5 below by
+    # 148 runs, which decides the cap before that stage's word is built
     _, _, enc_path = squares_files
     run = run_python(
         *flags, "-m", "diomorph.cli", "verify", "--encoder", enc_path,
@@ -604,8 +610,8 @@ def test_verify_staged_cap_names_the_stage_and_the_lower_bound(flags, squares_fi
     )
     assert run.returncode == cli.EXIT_BUDGET
     assert run.stdout == ""
-    assert run.stderr == ("error: expansion cap exceeded: needs 286 > cap 100 "
-                          "(lower bound from letter counts at stage 3 of 4)\n")
+    assert run.stderr == ("error: expansion cap exceeded: needs 148 > cap 100 "
+                          "(lower bound from letter counts at stage 5 of 6)\n")
 
 
 def _cap_help(subcommand):

@@ -116,14 +116,14 @@ def test_control_tables(toy_encoder):
     assert enc.g2.image(FINAL_LETTER).is_empty
 
 
-# sha256 of each conftest encoder document, recorded when each term's
-# coefficient moved from its witness to its last hand-off (g2 maps the last
-# level's last letter to e^c); the documents must stay byte-identical
+# sha256 of each conftest encoder document, recorded when each tupled
+# polynomial was laid out as a prefix tree of its terms (document version 2);
+# the documents must stay byte-identical
 GOLDEN_ENCODER_SHA256 = {
-    "toy_encoder": "14d31a68d1ffff60f2d283cbf1d2159772594dd217fe290527efd9c719125541",
-    "squares_encoder": "618fb2fbd6239abb284b8ca4a44152ff9953c1adcd8bfca088d91e2edfd01ff5",
-    "trivial_encoder": "d7e76f96aab36f69f7653c28ad69bf60bb9e015ae7cefe3ebfeb3148128649a6",
-    "empty_encoder": "88f3c3ee5bf72af8385f986775fa677bd34a6d6759c2403d82fd6bab65fb6db4",
+    "toy_encoder": "665391a67f4cda7675b6de2ec2eaebb7ca4a2cfd5eb455aa091331e14a033e94",
+    "squares_encoder": "76e8d780e73f155cf248f8aa497691c14ecafcd3f43a60a1f584b3f66dfdfe1b",
+    "trivial_encoder": "81d1231319000ba2694e46caed8862eff1991ded380bdea96c75ca97e1d69b9b",
+    "empty_encoder": "5fd934de7efd0ea7bde47c2b6fd3d71bbd244abbf523198d6f599172d69f873e",
 }
 
 
@@ -644,7 +644,9 @@ def test_squares_layout(squares_encoder):
     enc = squares_encoder
     assert enc.dimension == 3
     assert len(enc.alphabet.level_sizes) == 4
-    assert (enc.u.length, enc.v.length) == (86, 82)  # one letter per term
+    # one letter per root block: the distinct first exponents of 86 and 82 terms
+    assert (len(enc.p_tupled.terms), len(enc.q_tupled.terms)) == (86, 82)
+    assert (enc.u.length, enc.v.length) == (9, 9)
     for w, p in ((enc.u, enc.p_tupled), (enc.v, enc.q_tupled)):
         value = poly.evaluate(p, (1, 1, 1))
         assert apply_generator_word(enc, w, argument_word((1, 1, 1))) == letter_power(
@@ -653,15 +655,16 @@ def test_squares_layout(squares_encoder):
 
 @pytest.mark.parametrize("fixture", ["toy_encoder", "squares_encoder", "trivial_encoder", "empty_encoder"])
 def test_each_counter_hands_its_coefficients_down_to_e(fixture, request):
-    # u and v hold their terms' first letters once each, and the g2 images
-    # that reach e carry exactly the tupled polynomials' coefficients
+    # u and v hold their root blocks' first letters once each, one per
+    # distinct first exponent, and the g2 images that reach e, one per term,
+    # carry exactly the tupled polynomials' coefficients
     enc = request.getfixturevalue(fixture)
     first_level = set(enc.alphabet.levels[0])
     for w, p, tag in ((enc.u, enc.p_tupled, "A:"), (enc.v, enc.q_tupled, "B:")):
-        assert w.length == len(w.runs) == len(p.terms)
+        assert w.length == len(w.runs) == len({exponents[0] for exponents, _ in p.terms})
         assert all(z.startswith(tag) and z in first_level for z in w.support())
         handoffs = [img.runs[0][1] for z, img in zip(enc.alphabet.letters, enc.g2.images)
-                    if z.startswith(tag) and img.runs and img.runs[0][0] == FINAL_LETTER]
+                    if z.startswith(tag) and img.support() == {FINAL_LETTER}]
         assert sorted(handoffs) == sorted(coeff for _, coeff in p.terms)
 
 

@@ -386,16 +386,19 @@ def test_compose_shares_the_images_of_one_letter_images(squares_encoder):
     composite = morph.compose(g2, P)
     erased = {id(out) for img, out in zip(g2.images, composite.images) if not img.runs}
     assert len(erased) == 1  # one shared empty word
-    handoffs = 0
+    shared, handoffs, branches = 0, 0, 0
     for img, out in zip(g2.images, composite.images):
-        if img.runs:
-            (letter, count), = img.runs  # g2 maps every letter to at most one run
-            if count == 1:
-                assert out is P.image(letter)
-            else:  # a term's last hand-off e^c, which P erases
-                assert letter == "e" and out.is_empty
-                handoffs += 1
-    assert handoffs > 0  # the squares encoder has coefficients above 1
+        if len(img.runs) == 1 and img.runs[0][1] == 1:  # one letter once: P's image, shared
+            assert out is P.image(img.runs[0][0])
+            shared += 1
+        elif img.support() == {"e"}:  # a leaf's hand-off e^c with c > 1, which P erases
+            assert out.is_empty
+            handoffs += 1
+        elif img.runs:  # a block's hand-off to several children, once each
+            assert out == morph.apply(P, img)
+            branches += 1
+    # the squares encoder has coefficients above 1 and blocks shared by terms
+    assert shared > 0 and handoffs > 0 and branches > 0
 
 
 def test_compose_cap_names_letter():

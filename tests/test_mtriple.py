@@ -1,5 +1,4 @@
 import itertools
-from functools import reduce
 from math import comb, prod
 
 import pytest
@@ -13,15 +12,24 @@ def x(i, t):
     return poly.variable(i, t)
 
 
+def monomial(exponents, coefficient=1):
+    """One term, whose system is a chain of gadget blocks, one per level."""
+    return poly.polynomial(len(exponents), {tuple(exponents): coefficient})
+
+
+def monomial_system(exponents, coefficient=1):
+    return mtriple.compile_polynomial(monomial(exponents, coefficient))
+
+
 # ---------------------------------------------------------------- power gadgets
 #
-# The first level of the monomial system for exponent k is the power gadget
+# The first level of the system of a monomial x^k is the power gadget
 # for k: k + 1 letters whose count matrix is the k-fold Kronecker power of
 # [[1, 1], [0, 1]] lumped by subset size, or a -> b, b -> b for k = 0.
 
 def _gadget(exponents):
     """The system's first level, its g1, and the count matrix of the first level's block."""
-    c = mtriple.monomial_mtriple(exponents)
+    c = monomial_system(exponents)
     level, g1 = c.triple.level(1), c.triple.g1
     m = morph.matrix_of(g1)  # the first level opens the alphabet, so its block is top left
     block = matsem.from_dense([[m.rows.get(i, {}).get(j, 0) for j in range(len(level))] for i in range(len(level))])
@@ -109,8 +117,8 @@ def test_power_gadget_triangular_and_increasing():
 
 def test_power_gadget_budget():
     with pytest.raises(AlphabetBudgetExceeded, match=r"needs 6 > budget 5 "):
-        mtriple.monomial_mtriple((4,), budget=5)  # 4 + 1 gadget letters and e
-    assert len(mtriple.monomial_mtriple((4,), budget=6).triple.alphabet) == 6
+        mtriple.lay_out_monomials([monomial((4,))], budget=5)  # 4 + 1 gadget letters and e
+    assert len(mtriple.lay_out_monomials([monomial((4,))], budget=6)[0]) == 6
 
 
 def test_constant_gadget():
@@ -127,49 +135,58 @@ def test_constant_gadget():
 # ---------------------------------------------------------------- monomials
 
 def test_monomial_square():
-    c = mtriple.monomial_mtriple([2])
+    c = monomial_system([2])
     assert mtriple.compute_word_level(c, (3,)) == 9
 
 
 def test_monomial_product():
-    c = mtriple.monomial_mtriple([1, 1])
+    c = monomial_system([1, 1])
     assert mtriple.compute_word_level(c, (2, 3)) == 6
 
 
 def test_monomial_with_zero_exponent():
-    c = mtriple.monomial_mtriple([0, 2])
+    c = monomial_system([0, 2])
     assert mtriple.compute_word_level(c, (5, 2)) == 4
 
 
 def test_monomial_validates():
-    c = mtriple.monomial_mtriple([2, 0, 1])
+    c = monomial_system([2, 0, 1])
     violations = mtriple.validate(c.triple)
     assert not any(violations.values()), violations
 
 
 def test_monomial_alphabet_shape():
-    c = mtriple.monomial_mtriple([2, 0, 1])
+    c = monomial_system([2, 0, 1])
     assert c.triple.alphabet.level_sizes == (3, 2, 2, 1)
     assert c.triple.final_letter == "e"
     assert lang.text(c.witness) == "1.1"
 
 
 def test_monomial_budget():
-    with pytest.raises(AlphabetBudgetExceeded, match=r"needs 101 > budget 100 "):
-        mtriple.monomial_mtriple([99], budget=100)
-    assert len(mtriple.monomial_mtriple([98], budget=100).triple.alphabet) == 100
+    with pytest.raises(AlphabetBudgetExceeded,
+                       match=r"^alphabet budget exceeded: needs 101 > budget 100 \(monomial with exponents \(99,\)\)$"):
+        mtriple.lay_out_monomials([monomial([99])], budget=100)
+    assert len(mtriple.lay_out_monomials([monomial([98])], budget=100)[0]) == 100
 
 
 def test_gadget_runs_guard_boundary(monkeypatch):
     # exponents (3, 0): 4 + 3 + 2 + 1 runs, then a -> b and b -> b
     monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 12)
-    c = mtriple.monomial_mtriple((3, 0))
+    c = monomial_system((3, 0))
     assert sum(len(image.runs) for image in c.triple.g1.images) == 12
     monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 11)
-    with pytest.raises(ExpansionCapExceeded,
-                       match=r"^expansion cap exceeded: needs 12 > cap 11 \(power gadget runs of the monomial\)$"):
-        mtriple.monomial_mtriple((3, 0))
-    # a layout counts the runs of all its terms together (12 + 3 + 3), though each fits alone
+    with pytest.raises(ExpansionCapExceeded, match=r"^expansion cap exceeded: needs 12 > cap 11 "
+                                                   r"\(power gadget runs of the prefix tree of one polynomial\)$"):
+        monomial_system((3, 0))
+    # terms sharing their first exponent share its block: 10 runs for x1^3,
+    # then 2 for x2^0 and 3 for x2^1, where one chain per term would hold 25
+    shared = poly.polynomial(2, {(3, 0): 1, (3, 1): 1})
+    monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 15)
+    assert sum(len(image.runs) for image in mtriple.compile_polynomial(shared).triple.g1.images) == 15
+    monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 14)
+    with pytest.raises(ExpansionCapExceeded, match=r"needs 15 > cap 14 "):
+        mtriple.compile_polynomial(shared)
+    # a layout counts the runs of all its polynomials together (12 + 3 + 3), though each fits alone
     polys = [poly.polynomial(2, {(3, 0): 1}), poly.polynomial(2, {(1, 1): 2})]
     monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 18)
     _, g1, _, _ = mtriple.lay_out_monomials(polys, context="ctx")
@@ -188,21 +205,21 @@ def test_gadget_runs_guard_refuses_a_huge_exponent_under_any_budget(monkeypatch)
     monkeypatch.setattr(mtriple, "_place", place)
     a = 10**30
     with pytest.raises(ExpansionCapExceeded, match=rf"needs {(a + 1) * (a + 2) // 2} > cap 1000000 "):
-        mtriple.monomial_mtriple((a,), budget=10**40)
+        mtriple.lay_out_monomials([monomial((a,))], budget=10**40)
 
 
 def test_monomial_rejects_bad_input():
-    with pytest.raises(ValueError):
-        mtriple.monomial_mtriple([])
-    with pytest.raises(ValueError):
-        mtriple.monomial_mtriple([-1])
+    with pytest.raises(ValueError, match="need at least one exponent"):
+        mtriple.lay_out_monomials([_unchecked_polynomial(0, (((), 1),))])
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        mtriple.lay_out_monomials([_unchecked_polynomial(1, (((-1,), 1),))])
 
 
 # ---------------------------------------------------------------- direct sum
 
 def test_direct_sum_shape():
-    a = mtriple.monomial_mtriple([1])
-    b = mtriple.monomial_mtriple([1])
+    a = monomial_system([1])
+    b = monomial_system([1])
     left, right = mtriple.direct_sum_maps(a, b)
     assert left.triple is right.triple
     assert left.triple.alphabet.level_sizes == (4, 1)
@@ -211,8 +228,8 @@ def test_direct_sum_shape():
 
 
 def test_direct_sum_witnesses_still_compute():
-    a = mtriple.monomial_mtriple([2])
-    b = mtriple.monomial_mtriple([1])
+    a = monomial_system([2])
+    b = monomial_system([1])
     left, right = mtriple.direct_sum_maps(a, b)
     for n in range(1, 5):
         assert mtriple.compute_word_level(left, (n,)) == n**2
@@ -221,7 +238,7 @@ def test_direct_sum_witnesses_still_compute():
 
 def test_direct_sum_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        mtriple.direct_sum_maps(mtriple.monomial_mtriple([1]), mtriple.monomial_mtriple([1, 1]))
+        mtriple.direct_sum_maps(monomial_system([1]), monomial_system([1, 1]))
 
 
 # ---------------------------------------------------------------- compile
@@ -291,26 +308,33 @@ def test_compile_with_constant():
 
 
 def test_monomial_coefficient_is_the_last_hand_off():
-    c = mtriple.monomial_mtriple([1, 2], 4)
+    c = monomial_system([1, 2], 4)
     assert c.polynomial == poly.polynomial(2, {(1, 2): 4})
     assert mtriple.compute_word_level(c, (5, 3)) == 4 * 5 * 9
     assert lang.text(c.witness) == "1.1"
     # level 1 hands down one letter, level 2 (the last) hands down e^4
     assert [lang.text(c.triple.g2.image(a)) for a in ("1.2", "2.3")] == ["2.1", "e^4"]
     assert not any(mtriple.validate(c.triple).values())
-    for coefficient in (0, -1):
-        with pytest.raises(ValueError, match="coefficients must be positive"):
-            mtriple.monomial_mtriple([1], coefficient)
 
 
 def _longest_word(p, point):
-    """The most letters a word of the word-level evaluation at ``point`` holds:
-    a term's level of exponent a, reached by c letters, holds c (m + 1)^a of
-    them after m of its g1 steps."""
+    """A bound on the letters of a word of the word-level evaluation at
+    ``point``: a term's level of exponent a, reached by c letters, holds at
+    most c (m + 1)^a of them after m of its g1 steps, and terms that share
+    a block only share those letters."""
     return max(
         sum(coeff * prod(x**a for x, a in zip(point[:level], exponents)) * (n + 1) ** exponents[level]
             for exponents, coeff in p.terms)
         for level, n in enumerate(point))
+
+
+def _lowered(point, polys):
+    """The point, lowered from its last entry until no word exceeds 3000 letters."""
+    point = list(point)
+    for k in reversed(range(len(point))):
+        while point[k] > 1 and max(_longest_word(p, point) for p in polys) > 3000:
+            point[k] -= 1
+    return tuple(point)
 
 
 @st.composite
@@ -322,11 +346,13 @@ def compile_cases(draw, min_arity, max_exponent, max_coefficient):
     exponents = st.tuples(*[st.integers(0, max_exponent)] * arity)
     p = poly.polynomial(arity, draw(st.dictionaries(
         exponents, st.integers(1, max_coefficient), min_size=1, max_size=4)))
-    point = list(draw(st.tuples(*[st.integers(1, 3)] * arity)))
-    for k in reversed(range(arity)):
-        while point[k] > 1 and _longest_word(p, point) > 3000:
-            point[k] -= 1
-    return p, tuple(point)
+    return p, _lowered(draw(st.tuples(*[st.integers(1, 3)] * arity)), [p])
+
+
+def _prefixes(p, level):
+    """The distinct prefixes of length ``level`` of p's exponent vectors, in
+    order of first appearance among its terms: the nodes of that level."""
+    return list(dict.fromkeys(exponents[:level] for exponents, _ in p.terms))
 
 
 @given(compile_cases(2, 6, 3))
@@ -336,12 +362,12 @@ def test_compiled_gadgets_are_lumped_kronecker_powers(case):
     c = mtriple.compile_polynomial(p)
     assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
     assert not any(mtriple.validate(c.triple).values())
-    # each level holds one gadget block per term, in term order, and the
-    # block's rows have no entry outside it
+    # each level holds one gadget block per node of the prefix tree, in
+    # order of first appearance, and the block's rows have no entry outside it
     m, at = morph.matrix_of(c.triple.g1), 0
-    for li in range(p.arity):
-        for exponents, _ in p.terms:
-            a = exponents[li]
+    for li in range(1, p.arity + 1):
+        for prefix in _prefixes(p, li):
+            a = prefix[-1]
             want = lump_by_subset_size(kron_power(a)) if a else [[0, 1], [0, 1]]
             for i, row in enumerate(want):
                 assert m.row_of(at + i) == {at + j: n for j, n in enumerate(row) if n}
@@ -355,19 +381,20 @@ def test_coefficients_are_handed_down_as_powers_of_e(case):
     p, point = case
     c = mtriple.compile_polynomial(p)
     alphabet, g2 = c.triple.alphabet, c.triple.g2
-    # the witness holds each term's first letter once, in term order
-    assert c.witness.length == len(c.witness.runs) == len(p.terms)
-    # g2 maps every letter to at most one run; each term's last level hands
-    # down e^c, and every other hand-off one letter of the next level
-    handoffs = {}
+    # the witness holds each root block's first letter once
+    assert c.witness.length == len(c.witness.runs) == len(_prefixes(p, 1))
+    # each leaf ends one term and hands down e^c; every other hand-off
+    # holds each of its letters once, and level k's hand-offs together
+    # reach each node of level k + 1 once
+    handoffs, handed = {}, [0] * p.arity
     for a, img in zip(alphabet.letters, g2.images):
-        assert len(img.runs) <= 1
-        if img.runs:
-            (z, count), = img.runs
-            if z == "e":
-                handoffs[a] = count
-            else:
-                assert count == 1
+        if img.support() == {"e"}:
+            (_, count), = img.runs
+            handoffs[a] = count
+        elif img.runs:
+            assert [count for _, count in img.runs] == [1] * len(img.support())
+            handed[alphabet.level_of(a) - 1] += img.length
+    assert handed[:-1] == [len(_prefixes(p, li)) for li in range(2, p.arity + 1)]
     last = alphabet.levels[p.arity - 1]
     assert sorted(handoffs.values()) == sorted(coeff for _, coeff in p.terms)
     assert set(handoffs) <= set(last)
@@ -379,22 +406,7 @@ def test_compile_rejects_zero():
         mtriple.compile_polynomial(poly.zero(2))
 
 
-def test_parts_sum_check_survives_optimize_flag(run_python):
-    # the parts summing to p is a guarantee, so `python -O` must keep the check
-    code = (
-        "from diomorph import mtriple, poly\n"
-        "good = mtriple.monomial_mtriple\n"
-        "mtriple.monomial_mtriple = lambda exps, coeff, budget: good(exps, coeff + 1, budget)\n"
-        "try:\n"
-        "    mtriple.monomial_parts(poly.variable(1, 2))\n"
-        "except AssertionError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
-    )
-    assert run_python("-O", "-c", code).returncode == 0
-
-
-# ---------------------------------------------------------------- one-pass layout
+# ---------------------------------------------------------------- side-by-side layout of built systems
 
 def _reference_direct_sum(left, right):
     """The pairwise merge that the one-pass layout replaced, kept as its reference.
@@ -430,39 +442,10 @@ def _reference_direct_sum(left, right):
             lang.translate(right.witness, rename_right, merged), triple)
 
 
-def _reference_fold(p):
-    """compile_polynomial as a pairwise fold of the monomial systems."""
-    parts = [mtriple.monomial_mtriple(exps, coeff) for exps, coeff in p.terms]
-    acc = parts[0]
-    for part in parts[1:]:
-        u, v, triple = _reference_direct_sum(acc, part)
-        acc = mtriple.ComputableMap(triple, lang.word_concat(u, v),
-                                    poly.add(acc.polynomial, part.polynomial))
-    return acc
-
-
-@st.composite
-def layout_polys(draw):
-    """Arity 2-3, at most 6 terms, total degree at most 3, coefficients at most 3."""
-    arity = draw(st.integers(2, 3))
-    exponents = st.tuples(*[st.integers(0, 3)] * arity).filter(lambda e: sum(e) <= 3)
-    return poly.polynomial(
-        arity, draw(st.dictionaries(exponents, st.integers(1, 3), min_size=1, max_size=6)))
-
-
-@given(layout_polys())
-@settings(max_examples=40, deadline=None)
-def test_one_pass_layout_matches_pairwise_fold(p):
-    c, ref = mtriple.compile_polynomial(p), _reference_fold(p)
-    assert c.triple == ref.triple
-    assert c.witness == ref.witness
-    assert c.polynomial == ref.polynomial == p
-
-
 def test_direct_sum_matches_pairwise_reference():
     pairs = [
-        (mtriple.monomial_mtriple([2]), mtriple.monomial_mtriple([1])),
-        (mtriple.compile_polynomial(poly.polynomial(2, {(1, 0): 2, (0, 2): 1})),
+        (monomial_system([2]), monomial_system([1])),
+        (mtriple.compile_polynomial(poly.polynomial(2, {(1, 0): 2, (1, 2): 1, (0, 2): 1})),
          mtriple.compile_polynomial(poly.polynomial(2, {(1, 1): 3}))),
     ]
     for a, b in pairs:
@@ -472,71 +455,59 @@ def test_direct_sum_matches_pairwise_reference():
         assert (merged_a.witness, merged_b.witness) == (u, v)
 
 
-# ---------------------------------------------------------------- monomial layout from exponents
+# ---------------------------------------------------------------- prefix-tree layout from exponents
 
-def _reference_monomial_layout(polys, tags=None, head=(), budget=None, context="side-by-side layout"):
-    """lay_out of every polynomial's monomial systems, one concatenated witness per polynomial."""
-    parts = [mtriple.monomial_parts(p, budget) for p in polys]
-    part_tags = [tag for tag, ps in zip(tags, parts) for _ in ps] if tags else None
-    merged, g1, g2, witnesses = mtriple.lay_out(
-        [c for ps in parts for c in ps], part_tags, head, budget, context)
-    rest = iter(witnesses)
-    return merged, g1, g2, [reduce(lang.word_concat, [next(rest) for _ in ps]) for ps in parts]
-
-
-def _outcome(layout, *args):
-    """The layout, or the error it raises with every field that names it."""
-    try:
-        return layout(*args)
-    except (ValueError, AlphabetBudgetExceeded) as exc:
-        fields = (exc.needed, exc.budget, exc.context) if isinstance(exc, AlphabetBudgetExceeded) else ()
-        return type(exc), str(exc), fields
-
-
-def _assert_same_layout(got, want):
-    if not isinstance(want[0], lang.LeveledAlphabet):  # both raised
-        assert got == want
-        return
-    merged, g1, g2, witnesses = got
-    assert merged.letters == want[0].letters and merged.level_sizes == want[0].level_sizes
-    for table, reference in ((g1, want[1]), (g2, want[2])):
-        assert list(table) == list(reference)
-        for letter, image in table.items():
-            assert image.alphabet == merged and image.runs == reference[letter].runs
-    assert [w.runs for w in witnesses] == [w.runs for w in want[3]]
-    assert all(w.alphabet == merged for w in witnesses)
-
-
-def _monomial_size(exponents):
-    return sum(max(a, 1) + 1 for a in exponents) + 1
+def _tree_letters(p):
+    """The letters of p's prefix tree, counted by hand: one block of
+    max(a, 1) + 1 letters per distinct prefix, a its last exponent."""
+    return sum(max(prefix[-1], 1) + 1 for li in range(1, p.arity + 1) for prefix in _prefixes(p, li))
 
 
 @st.composite
-def monomial_layouts(draw):
-    """One or two polynomials of arity 1-3, at most 5 terms, exponents 0-3, coefficients 1-3."""
+def shared_prefix_layouts(draw):
+    """One or two polynomials of arity 1-3, each with at most 6 terms that
+    keep a drawn prefix of one exponent vector and draw the rest
+    (exponents 0-3, coefficients 1-3); tags, head letters, and a point in
+    {1..3} lowered until no word exceeds 3000 letters."""
     arity = draw(st.integers(1, 3))
-    exponents = st.tuples(*[st.integers(0, 3)] * arity)
-    polys = [poly.polynomial(arity, draw(st.dictionaries(
-        exponents, st.integers(1, 3), min_size=1, max_size=5))) for _ in range(draw(st.integers(1, 2)))]
+    vectors = st.tuples(*[st.integers(0, 3)] * arity)
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        base = draw(vectors)
+        kept = draw(st.lists(st.tuples(st.integers(0, arity), vectors), min_size=1, max_size=6))
+        polys.append(poly.polynomial(arity, {base[:k] + rest[k:]: draw(st.integers(1, 3))
+                                             for k, rest in kept}))
     tags = draw(st.sampled_from([None, ("A:", "B:"), ("T", "T")]))
     head = draw(st.sampled_from([(), ("c0",), ("c0", "c1", "c2", "c3")]))
-    return polys, tags and tags[:len(polys)], head
+    point = _lowered(draw(st.tuples(*[st.integers(1, 3)] * arity)), polys)
+    return polys, tags and tags[:len(polys)], head, point
 
 
-@given(monomial_layouts())
+@given(shared_prefix_layouts())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_monomial_layout_matches_layout_of_monomial_parts(case):
-    polys, tags, head = case
-    largest = max(_monomial_size(e) for p in polys for e, _ in p.terms)
-    total = len(head) + sum(_monomial_size(e) - 1 for p in polys for e, _ in p.terms) + 1
-    for budget in (None, largest - 1, largest, total - 1, total):
-        args = (polys, tags, head, budget, "merged total")
-        _assert_same_layout(_outcome(mtriple.lay_out_monomials, *args),
-                            _outcome(_reference_monomial_layout, *args))
-    assert len(mtriple.lay_out_monomials(polys, tags, head, total)[0]) == total
+def test_prefix_tree_layout_computes_each_polynomial(case):
+    polys, tags, head, point = case
+    total = len(head) + sum(_tree_letters(p) for p in polys) + 1
+    merged, g1, g2, witnesses = mtriple.lay_out_monomials(polys, tags, head, total, "merged total")
+    assert len(merged) == total
+    if tags == ("A:", "B:"):
+        assert [sum(a.startswith(tag) for a in merged.letters) for tag in tags] == [
+            _tree_letters(p) for p in polys]
+    largest = max(sum(max(a, 1) + 1 for a in exponents) + 1 for p in polys for exponents, _ in p.terms)
     if total - 1 >= largest:
         with pytest.raises(AlphabetBudgetExceeded, match=rf"needs {total} > budget {total - 1} \(merged total\)"):
             mtriple.lay_out_monomials(polys, tags, head, total - 1, "merged total")
+
+    eps = lang.epsilon(merged)
+    for letter in head:
+        g1[letter] = g2[letter] = eps
+    triple = mtriple.MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),
+                             polys[0].arity)
+    assert not any(mtriple.validate(triple).values())
+    for p, witness in zip(polys, witnesses):
+        assert witness.length == len(witness.runs) == len(_prefixes(p, 1))
+        c = mtriple.ComputableMap(triple, witness, p)
+        assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
 
 
 def _unchecked_polynomial(arity, terms):
@@ -547,24 +518,28 @@ def _unchecked_polynomial(arity, terms):
     return p
 
 
-@pytest.mark.parametrize("polys, budget", [
+@pytest.mark.parametrize("polys, budget, error", [
     # a zero polynomial, before any term of it or of a later polynomial
-    ([poly.zero(2), poly.polynomial(2, {(3, 3): 1})], 5),
+    ([poly.zero(2), poly.polynomial(2, {(3, 3): 1})], 5,
+     (ValueError, "cannot compile the zero polynomial")),
     # the first polynomial's terms, before the second polynomial is looked at
-    ([poly.polynomial(2, {(1, 0): 1, (5, 5): 1}), poly.zero(2)], 12),
+    ([poly.polynomial(2, {(1, 0): 1, (5, 5): 1}), poly.zero(2)], 12,
+     (AlphabetBudgetExceeded, "alphabet budget exceeded: needs 13 > budget 12 (monomial with exponents (5, 5))")),
     # a negative exponent, before that term's budget
-    ([_unchecked_polynomial(2, (((-1, 9), 1),))], 5),
+    ([_unchecked_polynomial(2, (((-1, 9), 1),))], 5, (ValueError, "exponents must be nonnegative")),
     # a term too large, in term order: p's before q's
-    ([poly.polynomial(2, {(2, 0): 1}), poly.polynomial(2, {(5, 5): 1})], 12),
+    ([poly.polynomial(2, {(2, 0): 1}), poly.polynomial(2, {(5, 5): 1})], 12,
+     (AlphabetBudgetExceeded, "alphabet budget exceeded: needs 13 > budget 12 (monomial with exponents (5, 5))")),
     # differing arities, before the merged total (5 and 7 letters apart, 11 together)
-    ([poly.variable(1, 2), poly.variable(1, 3)], 10),
+    ([poly.variable(1, 2), poly.variable(1, 3)], 10, (DimensionMismatch, "dimensions 2 and 3 differ")),
     # the merged total (5, 7 and 5 letters apart, 15 together)
-    ([poly.polynomial(2, {(1, 1): 1, (3, 0): 1}), poly.variable(1, 2)], 14),
+    ([poly.polynomial(2, {(1, 1): 1, (3, 0): 1}), poly.variable(1, 2)], 14,
+     (AlphabetBudgetExceeded, "alphabet budget exceeded: needs 15 > budget 14 (ctx)")),
 ])
-def test_monomial_layout_raises_in_the_reference_order(polys, budget):
-    got = _outcome(mtriple.lay_out_monomials, polys, ("A:", "B:")[:len(polys)], (), budget, "ctx")
-    want = _outcome(_reference_monomial_layout, polys, ("A:", "B:")[:len(polys)], (), budget, "ctx")
-    assert isinstance(want[0], type) and got == want
+def test_monomial_layout_raises_in_order(polys, budget, error):
+    with pytest.raises(error[0]) as raised:
+        mtriple.lay_out_monomials(polys, ("A:", "B:")[:len(polys)], (), budget, "ctx")
+    assert str(raised.value) == error[1]
 
 
 # ---------------------------------------------------------------- validation details
@@ -682,7 +657,7 @@ def test_exhaustive_small_boxes():
     # every monomial with exponents <= 2 in dimension <= 2, all points in {1..4}
     for t in (1, 2):
         for exps in itertools.product(range(3), repeat=t):
-            c = mtriple.monomial_mtriple(exps)
+            c = monomial_system(exps)
             for point in itertools.product(range(1, 5), repeat=t):
                 expected = 1
                 for n, a in zip(point, exps):

@@ -228,11 +228,11 @@ def test_morphism_solvers_raise_when_supports_escape_the_halves(squares_encoder,
 
 
 def test_word_confirmation_cap_boundary(trivial_encoder):
-    # at (1, 3) the two control trajectories each need a cap of 45,139 runs:
+    # at (1, 3) the two control trajectories each need a cap of 41,175 runs:
     # the bridge verdict stands either way, and only a cap they fit adds the
     # word-level confirmation
-    capped = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6), cap=45_138)
-    fits = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6), cap=45_139)
+    capped = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6), cap=41_174)
+    fits = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6), cap=41_175)
     full = solve_one_unknown_words(solve.point(trivial_encoder, 1, 3, 6))
     assert capped.method == "parikh-bridge"
     assert fits.method == full.method == "parikh-bridge+word"
