@@ -30,8 +30,11 @@ from .matsem import SparseMatrix
 from .morph import Morphism, endomorphism
 
 
-# version 2: each tupled polynomial is laid out as a prefix tree of its terms
-ENCODER_VERSION = 2
+# version 3: each tupled polynomial is laid out as the minimal DAG of its
+# terms' prefix tree; earlier versions laid out other alphabets
+ENCODER_VERSION = 3
+_RETIRED_LAYOUTS = {1: "one chain of gadget blocks per term",
+                    2: "each tupled polynomial as a prefix tree of gadget blocks"}
 
 
 def dumps(doc: dict) -> str:
@@ -132,8 +135,8 @@ def encoder_from_doc(doc: dict) -> Encoder:
     if doc.get("format") != "diomorph-encoder":
         raise ValueError("not an encoder document (missing format marker)")
     version = read_int(doc["version"], "version")
-    if version == 1:
-        raise InvalidEncoder("encoder document version 1 lays out one chain of gadget blocks per term; "
+    if version in _RETIRED_LAYOUTS:
+        raise InvalidEncoder(f"encoder document version {version} lays out {_RETIRED_LAYOUTS[version]}; "
                              "recompile it from p and q with `diomorph compile`")
     if version != ENCODER_VERSION:
         raise InvalidEncoder(f"encoder document version must be {ENCODER_VERSION}, got {version}")

@@ -20,13 +20,16 @@ Built here:
   letters a -> b, b -> b;
 * one letter layout (``_place``) that names blocks level by level in a
   single pass, any number of them per level, all sharing one e;
-* a polynomial's system as a prefix tree of its terms' exponent vectors
+* a polynomial's system as the minimal DAG of its terms' prefix tree
   (``lay_out_monomials``, which the encoder and ``compile_polynomial``
   use): a node at level k is one gadget block for a_k, shared by every
-  term whose first k exponents agree.  g2 hands a block's last letter down
-  to the first letters of its children, once each, and a leaf down to
-  e^c for its term's coefficient c (g2 of e is ε, so g2 still erases
-  squares); the witness holds the root blocks' first letters once each;
+  term whose first k exponents agree and by every identical subtree.  g2
+  hands a block's last letter down to the first letters of its children,
+  one run each, as long as the edge into the child counts.  A positive-exponent
+  leaf hands down e^c for its coefficient c; the edge into an exponent-0
+  leaf counts c instead, and that leaf hands down e (g2 of e is ε, so g2
+  still erases squares).  The witness holds the roots' first letters,
+  each as often as its edge counts;
 * ``lay_out``, which lays built systems side by side, each a chain of
   blocks (``direct_sum_maps``);
 * word-level evaluation of a compiled map at a point.
@@ -244,21 +247,29 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
                       head: Sequence[Letter] = (), budget: int | None = None,
                       context: str = "side-by-side layout",
                       ) -> tuple[LeveledAlphabet, dict[Letter, Word], dict[Letter, Word], list[Word]]:
-    """Lay out each polynomial as a prefix tree of its terms' exponent vectors.
+    """Lay out each polynomial as the minimal DAG of its terms' prefix tree.
 
-    A node at level k is one power-gadget block for the exponent a_k, and
-    every term of a polynomial whose first k exponents agree shares it.
+    A node at level k is one power-gadget block for the exponent a_k.  In a
+    polynomial's prefix tree, terms whose first k exponents agree share
+    their first k nodes; the DAG also merges identical subtrees, so a node
+    is keyed by its level, its exponent and what it hands down: a leaf's
+    count of e, or the set of its children with the count on each edge.
+    Under g2 a block's last letter hands down to the first letters of its
+    children, one run each, as long as the edge into the child counts, in
+    placement order.  The edge into a positive-exponent leaf counts 1, and
+    the leaf hands down e^c for its terms' coefficient c.  An exponent-0
+    leaf's block only carries a count, so the edge into it counts c and it
+    hands down e once: one such leaf serves the whole polynomial.  Each
+    polynomial's witness holds its roots' first letters, as many times as
+    their edges count (once, unless t = 1).  So e is reached along each
+    root-to-leaf path by the product of its edges' counts and its blocks'
+    powers, and the letter count of e after the last level is the
+    polynomial's value.
+
     Within each level the blocks follow polynomial by polynomial, each
-    polynomial's nodes in order of their first appearance in its terms,
-    polynomial k's letters tagged ``tags[k]`` (no tags: one empty tag), as
-    :func:`_place` names them.  Under g2 a block's last letter hands down to
-    the first letters of its children, once each, in placement order; a
-    leaf, which ends exactly one term, hands down e^c for that term's
-    coefficient c.  Each polynomial's witness holds its root blocks' first
-    letters, once each.  So a leaf is reached by the product of its
-    ancestors' counts, and the letter count of e after the last level is
-    the polynomial's value.
-
+    polynomial's nodes in order of their first appearance in its terms (no
+    node is shared between polynomials), polynomial k's letters tagged
+    ``tags[k]`` (no tags: one empty tag), as :func:`_place` names them.
     Returns the merged alphabet, the g1 and g2 image tables (the caller
     supplies the head letters' images) and each polynomial's witness.  The
     images are filled straight into the merged alphabet, each gadget's
@@ -281,25 +292,42 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
             raise DimensionMismatch(f"dimensions {t} and {p.arity} differ")
     tags = tags or [""] * len(polynomials)
 
-    # per level, each node's (tag, exponent) and what its last letter hands
-    # down: the indices of its children in the next level, or a coefficient
+    # per level, each block's (tag, exponent) and what its last letter hands
+    # down: e's count at the last level, else its (child block, count) runs
     blocks: list[list[tuple[str, int]]] = [[] for _ in range(t)]
-    handoffs: list[list[list[int] | int]] = [[] for _ in range(t)]
-    roots: list[list[int]] = [[] for _ in polynomials]
+    handoffs: list[list] = [[] for _ in range(t)]
+    roots: list[list[tuple[int, int]]] = []
     for k, p in enumerate(polynomials):
-        nodes: dict[tuple[int, ...], int] = {}  # prefix -> index in its level
+        # bottom up, each prefix's subtree is keyed by its exponent and its
+        # hand-off, and the edge into it carries a count.  The edge into an
+        # exponent-0 leaf carries the coefficient, so one such leaf serves
+        # them all; a positive-exponent leaf hands down e^c instead, as a
+        # count on its first letter would repeat the runs of its g1 images
+        edges: dict[tuple[int, ...], tuple[tuple, int]] = {}  # prefix -> (key, edge count)
         for exponents, coeff in p.terms:
+            a = exponents[-1]
+            edges[exponents] = ((a, coeff), 1) if a else ((0, 1), coeff)
+        keys: dict[tuple[int, ...], tuple] = {}
+        for _ in range(t):
+            keys.update((prefix, key) for prefix, (key, _) in edges.items())
+            below: dict[tuple[int, ...], set[tuple[tuple, int]]] = {}
+            for prefix, edge in edges.items():
+                below.setdefault(prefix[:-1], set()).add(edge)
+            edges = {prefix: ((prefix[-1], frozenset(children)), 1) for prefix, children in below.items() if prefix}
+
+        # top down, each distinct subtree is placed where it first appears
+        placed: list[dict[tuple, int]] = [{} for _ in range(t)]
+        for exponents, _ in p.terms:
             for li in range(t):
-                prefix = exponents[:li + 1]
-                if prefix in nodes:
-                    continue
-                nodes[prefix] = node = len(blocks[li])
-                blocks[li].append((tags[k], exponents[li]))
-                handoffs[li].append(coeff if li == t - 1 else [])
-                if li == 0:
-                    roots[k].append(node)
-                else:
-                    handoffs[li - 1][nodes[prefix[:-1]]].append(node)
+                key = keys[exponents[:li + 1]]
+                if key not in placed[li]:
+                    placed[li][key] = len(blocks[li])
+                    blocks[li].append((tags[k], key[0]))
+                    handoffs[li].append(key[1])
+        for li in range(t - 1):
+            for node in placed[li].values():
+                handoffs[li][node] = sorted((placed[li + 1][child], n) for child, n in handoffs[li][node])
+        roots.append(sorted((placed[0][child], n) for child, n in below[()]))
 
     # the runs grow with the square of an exponent and the letters only
     # linearly, and every letter's image holds a run, so refusing the runs
@@ -325,8 +353,8 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
                 g2[letters[i]] = eps
             g2[letters[i]] = lang._normal_word(
                 merged, (("e", handoff),) if li == t - 1
-                else tuple((letters[starts[li + 1][child]], 1) for child in handoff))
-    witnesses = [lang._normal_word(merged, tuple((letters[starts[0][node]], 1) for node in nodes))
+                else tuple((letters[starts[li + 1][child]], n) for child, n in handoff))
+    witnesses = [lang._normal_word(merged, tuple((letters[starts[0][node]], n) for node, n in nodes))
                  for nodes in roots]
     return merged, g1, g2, witnesses
 
@@ -345,10 +373,10 @@ def direct_sum_maps(left: ComputableMap, right: ComputableMap) -> tuple[Computab
 
 
 def compile_polynomial(p: poly.Polynomial) -> ComputableMap:
-    """The system of a nonzero polynomial: its prefix tree of gadget blocks,
-    as the encoder lays it out (:func:`lay_out_monomials`), with the root
-    blocks' first letters as witness."""
-    merged, g1, g2, (witness,) = lay_out_monomials([p], context="prefix tree of one polynomial")
+    """The system of a nonzero polynomial: the minimal DAG of its gadget
+    blocks, as the encoder lays it out (:func:`lay_out_monomials`), with the
+    root blocks' first letters as witness."""
+    merged, g1, g2, (witness,) = lay_out_monomials([p], context="DAG of one polynomial")
     triple = MTriple(merged, morph.endomorphism(merged, g1), morph.endomorphism(merged, g2),
                      p.arity)
     return ComputableMap(triple, witness, p)

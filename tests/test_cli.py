@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from diomorph import cli, encode, interchange, matsem, poly, solve
 from diomorph.cli import main
 
+from dag_layout import dag_nodes
+
 
 @pytest.fixture()
 def toy_files(tmp_path):
@@ -113,12 +115,12 @@ def test_budget_env_variable_is_honoured(toy_files, monkeypatch, capsys):
 
 
 def test_compile_budget_boundary(toy_files, tmp_path, capsys):
-    # the toy encoder has exactly 105 letters
+    # the toy encoder has exactly 88 letters
     p_path, q_path = toy_files
     base = ["compile", "--p", p_path, "--q", q_path, "-o", str(tmp_path / "enc.json")]
-    assert main(base + ["--alphabet-budget", "105"]) == cli.EXIT_OK
-    assert main(base + ["--alphabet-budget", "104"]) == cli.EXIT_BUDGET
-    assert "needs 105 > budget 104" in capsys.readouterr().err
+    assert main(base + ["--alphabet-budget", "88"]) == cli.EXIT_OK
+    assert main(base + ["--alphabet-budget", "87"]) == cli.EXIT_BUDGET
+    assert "needs 88 > budget 87" in capsys.readouterr().err
 
 
 def test_compile_refuses_a_huge_exponent_without_computing_its_gadget(toy_files, capsys):
@@ -143,16 +145,14 @@ def _limit_address_space():
 def test_compile_refuses_quadratic_gadget_runs_before_building_them(flags, run_python):
     # x2^1000 against x3, tupled on four slots, fits the letter budget, but its
     # gadgets' g1 images would hold (a + 1)(a + 2)/2 runs per block of
-    # exponent a >= 1 (2 for a = 0), one block per distinct prefix of a
-    # tupled polynomial's exponent vectors: over eight million, refused
-    # before any is built
+    # exponent a >= 1 (2 for a = 0), one block per node of a tupled
+    # polynomial's minimal DAG: over eight million, refused before any is built
     p, q = poly.polynomial(3, {(0, 1000, 0): 1}), poly.variable(3, 3)
     tupling = poly.injective_tupling(4)
-    runs = sum((prefix[-1] + 1) * (prefix[-1] + 2) // 2 if prefix[-1] else 2
-               for side in (p, q)
-               for prefix in {exponents[:k] for exponents, _ in encode.tupled(side, tupling).terms
-                              for k in range(1, 4)})
-    assert runs == 8_540_382
+    runs = sum((a + 1) * (a + 2) // 2 if a else 2
+               for side in (p, q) for level in range(1, 4)
+               for a in dag_nodes(encode.tupled(side, tupling), level))
+    assert runs == 8_037_492
     start = time.perf_counter()
     run = run_python(
         *flags, "-m", "diomorph.cli", "compile", "-t", "3", "-o", os.devnull,
@@ -409,7 +409,7 @@ INCONSISTENT_ENCODERS = {
     "dimension 2 needs 3 alphabet levels, found 2": _merge_last_levels,
     "alphabet lacks one of the letters c0, c1, c2, c3, e": _rename_c0,
     "p_tupled and q_tupled must be the tuplings of p and q": lambda doc: doc.update(
-        p=interchange.polynomial_to_doc(poly.mul(poly.constant(3, 2), poly.variable(1, 2)))),
+        p=interchange.polynomial_to_doc(poly.mul(poly.constant(2, 2), poly.variable(1, 2)))),
 }
 
 
@@ -476,9 +476,11 @@ CORRUPTED_ENCODERS = {
     _differs("u"): lambda doc: doc.update(u=doc["u"] + " e"),
     _differs("v"): lambda doc: doc.update(v=doc["v"].replace("B:1.1 ", "", 1)),
     _differs("alphabet"): _swap_first_level_letters,
-    "encoder document version must be 2, got 3": lambda doc: doc.update(version=3),
+    "encoder document version must be 3, got 4": lambda doc: doc.update(version=4),
     ("encoder document version 1 lays out one chain of gadget blocks per term; "
      "recompile it from p and q with `diomorph compile`"): lambda doc: doc.update(version=1),
+    ("encoder document version 2 lays out each tupled polynomial as a prefix tree of gadget blocks; "
+     "recompile it from p and q with `diomorph compile`"): lambda doc: doc.update(version=2),
 }
 RECOMPILE_COMMANDS = {
     "solve": ["solve", "-n", "2", "-s", "2", "--max-len", "3", "--level", "both"],
@@ -505,7 +507,7 @@ def test_loading_refuses_a_document_that_differs_from_its_recompilation(
 
 
 def test_alphabet_budget_does_not_reach_loading(toy_encoder_file, monkeypatch, capsys):
-    # the rebuild's budget is the document's own letter count (105 here)
+    # the rebuild's budget is the document's own letter count (88 here)
     args = ["solve", "--encoder", toy_encoder_file, "-n", "2", "-s", "2",
             "--max-len", "3", "--level", "both", "--format", "machine"]
     assert main(args) == cli.EXIT_OK
@@ -516,7 +518,7 @@ def test_alphabet_budget_does_not_reach_loading(toy_encoder_file, monkeypatch, c
 
 
 def test_loading_refuses_polynomials_that_need_more_letters(toy_encoder, tmp_path, capsys):
-    # a consistent larger pair (x1³ against x2 needs 127 letters) in the toy
+    # a consistent larger pair (x1³ against x2 needs 99 letters) in the toy
     # alphabet: the rebuild runs out of letters, which is bad input (2), not a
     # budget the user set (3)
     doc = interchange.encoder_to_doc(toy_encoder)
@@ -530,7 +532,7 @@ def test_loading_refuses_polynomials_that_need_more_letters(toy_encoder, tmp_pat
     assert main(args) == cli.EXIT_BAD_INPUT
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: recompiling p and q needs more than the 105 letters")
+    assert err.startswith("error: recompiling p and q needs more than the 88 letters")
     assert err.count("\n") == 1
 
 

@@ -28,6 +28,8 @@ from diomorph.errors import AlphabetBudgetExceeded, ArityMismatch, ExpansionCapE
 from diomorph.lang import letter_power, translate, word
 from diomorph.morph import apply, parikh_vector
 
+from dag_layout import dag_letters, dag_nodes, read_layout
+
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -117,13 +119,13 @@ def test_control_tables(toy_encoder):
 
 
 # sha256 of each conftest encoder document, recorded when each tupled
-# polynomial was laid out as a prefix tree of its terms (document version 2);
-# the documents must stay byte-identical
+# polynomial was laid out as the minimal DAG of its terms' prefix tree
+# (document version 3); the documents must stay byte-identical
 GOLDEN_ENCODER_SHA256 = {
-    "toy_encoder": "665391a67f4cda7675b6de2ec2eaebb7ca4a2cfd5eb455aa091331e14a033e94",
-    "squares_encoder": "76e8d780e73f155cf248f8aa497691c14ecafcd3f43a60a1f584b3f66dfdfe1b",
-    "trivial_encoder": "81d1231319000ba2694e46caed8862eff1991ded380bdea96c75ca97e1d69b9b",
-    "empty_encoder": "5fd934de7efd0ea7bde47c2b6fd3d71bbd244abbf523198d6f599172d69f873e",
+    "toy_encoder": "bafc04a549c48bcc7f980ab85d41f6c50306c01cb840655153b654220415dba2",
+    "squares_encoder": "89b25e867b8049bed0f029bf07431f542dee35b817c560af1ccd6b16e17cbc38",
+    "trivial_encoder": "7037e2665e521c48ef433ada25e06037be600c4ea84550f95840cf8a88d34441",
+    "empty_encoder": "2c5f57d20154e9f7e1a3e75e06c793fe27175d521baafddeb4a57940a805c698",
 }
 
 
@@ -656,16 +658,41 @@ def test_squares_layout(squares_encoder):
 @pytest.mark.parametrize("fixture", ["toy_encoder", "squares_encoder", "trivial_encoder", "empty_encoder"])
 def test_each_counter_hands_its_coefficients_down_to_e(fixture, request):
     # u and v hold their root blocks' first letters once each, one per
-    # distinct first exponent, and the g2 images that reach e, one per term,
-    # carry exactly the tupled polynomials' coefficients
+    # distinct first exponent.  Each counter's root-to-leaf paths spell its
+    # tupled polynomial's terms, through one tagged block per node of its
+    # minimal DAG in order of first appearance, so one exponent-0 leaf
+    # serves every term that ends in exponent 0
     enc = request.getfixturevalue(fixture)
+    g1, g2 = enc.g1.table(), enc.g2.table()
     first_level = set(enc.alphabet.levels[0])
     for w, p, tag in ((enc.u, enc.p_tupled, "A:"), (enc.v, enc.q_tupled, "B:")):
         assert w.length == len(w.runs) == len({exponents[0] for exponents, _ in p.terms})
         assert all(z.startswith(tag) and z in first_level for z in w.support())
-        handoffs = [img.runs[0][1] for z, img in zip(enc.alphabet.letters, enc.g2.images)
-                    if z.startswith(tag) and img.support() == {FINAL_LETTER}]
-        assert sorted(handoffs) == sorted(coeff for _, coeff in p.terms)
+        blocks, terms = read_layout(enc.alphabet, g1, g2, w)
+        assert terms == dict(p.terms)
+        assert [list(level.values()) for level in blocks] == [dag_nodes(p, li) for li in range(1, p.arity + 1)]
+        assert all(enc.alphabet.letters[first].startswith(tag) for level in blocks for first in level)
+        assert list(blocks[-1].values()).count(0) == 1
+
+
+def composites_encoder():
+    """p = x2 against q = (x3 + 1)(x4 + 1): the sides agree exactly when x2 is composite."""
+    one = poly.constant(1, 4)
+    return build_encoder(poly.variable(2, 4), poly.mul(poly.add(poly.variable(3, 4), one),
+                                                       poly.add(poly.variable(4, 4), one)))
+
+
+# letters of each encoder: the control letters, one gadget block per node of
+# each tupled polynomial's minimal DAG, and e
+LETTER_COUNTS = {"toy_encoder": 88, "squares_encoder": 546, "trivial_encoder": 521, "empty_encoder": 537,
+                 "composites": 5271}
+
+
+@pytest.mark.parametrize("name", sorted(LETTER_COUNTS))
+def test_encoder_letter_counts(name, request):
+    enc = composites_encoder() if name == "composites" else request.getfixturevalue(name)
+    assert len(enc.alphabet) == LETTER_COUNTS[name] == (
+        len(CONTROL_LETTERS) + dag_letters(enc.p_tupled) + dag_letters(enc.q_tupled) + 1)
 
 
 def test_squares_equation_side_on_perfect_square(squares_encoder):

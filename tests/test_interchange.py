@@ -61,7 +61,7 @@ def test_encoder_round_trip(toy_encoder):
 def test_encoder_document_is_self_describing(toy_encoder):
     doc = interchange.encoder_to_doc(toy_encoder)
     assert doc["format"] == "diomorph-encoder"
-    assert doc["version"] == 2
+    assert doc["version"] == 3
 
 
 def test_encoder_from_doc_rejects_foreign_documents():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from diomorph import config, lang, matsem, morph, mtriple, poly
 from diomorph.errors import AlphabetBudgetExceeded, DimensionMismatch, ExpansionCapExceeded
 
+from dag_layout import dag_letters, dag_nodes, read_layout
+
 
 def x(i, t):
     return poly.variable(i, t)
@@ -176,7 +178,7 @@ def test_gadget_runs_guard_boundary(monkeypatch):
     assert sum(len(image.runs) for image in c.triple.g1.images) == 12
     monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 11)
     with pytest.raises(ExpansionCapExceeded, match=r"^expansion cap exceeded: needs 12 > cap 11 "
-                                                   r"\(power gadget runs of the prefix tree of one polynomial\)$"):
+                                                   r"\(power gadget runs of the DAG of one polynomial\)$"):
         monomial_system((3, 0))
     # terms sharing their first exponent share its block: 10 runs for x1^3,
     # then 2 for x2^0 and 3 for x2^1, where one chain per term would hold 25
@@ -186,6 +188,14 @@ def test_gadget_runs_guard_boundary(monkeypatch):
     monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 14)
     with pytest.raises(ExpansionCapExceeded, match=r"needs 15 > cap 14 "):
         mtriple.compile_polynomial(shared)
+    # identical subtrees share one block too: x1^3 and 2·x1^2 end in one
+    # exponent-0 leaf, 10 + 6 + 2 runs where one leaf per term would hold 20
+    merged = poly.polynomial(2, {(3, 0): 1, (2, 0): 2})
+    monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 18)
+    assert sum(len(image.runs) for image in mtriple.compile_polynomial(merged).triple.g1.images) == 18
+    monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 17)
+    with pytest.raises(ExpansionCapExceeded, match=r"needs 18 > cap 17 "):
+        mtriple.compile_polynomial(merged)
     # a layout counts the runs of all its polynomials together (12 + 3 + 3), though each fits alone
     polys = [poly.polynomial(2, {(3, 0): 1}), poly.polynomial(2, {(1, 1): 2})]
     monkeypatch.setattr(config, "DEFAULT_EXPANSION_CAP", 18)
@@ -338,21 +348,30 @@ def _lowered(point, polys):
 
 
 @st.composite
+def shared_tail_polynomials(draw, arity, max_exponent, max_coefficient):
+    """A polynomial whose terms join 1-3 heads, each its first k exponents,
+    to 1-4 tails, each the rest of its exponents with a coefficient: each
+    head takes a drawn set of the tails, so equal tails recur under
+    different prefixes.  Exponents are 0-max_exponent and coefficients
+    1-max_coefficient; a tail's last exponent is 0 about half the time, so
+    exponent-0 leaves with different coefficients are common."""
+    k = draw(st.integers(0, arity - 1))
+    exponent = st.integers(0, max_exponent)
+    heads = draw(st.lists(st.tuples(*[exponent] * k), min_size=1, max_size=3, unique=True))
+    tails = draw(st.lists(st.tuples(st.tuples(*[exponent] * (arity - k - 1), st.one_of(st.just(0), exponent)),
+                                    st.integers(1, max_coefficient)), min_size=1, max_size=4))
+    return poly.polynomial(arity, {head + rest: coeff for head in heads
+                                   for rest, coeff in draw(st.lists(st.sampled_from(tails), min_size=1))})
+
+
+@st.composite
 def compile_cases(draw, min_arity, max_exponent, max_coefficient):
-    """Arity min_arity-3, at most 4 terms, exponents 0-max_exponent,
-    coefficients 1-max_coefficient, and a point in {1..3}, lowered from its
-    last entry until no word exceeds 3000 letters."""
+    """A polynomial of arity min_arity-3 from :func:`shared_tail_polynomials`
+    and a point in {1..3}, lowered from its last entry until no word exceeds
+    3000 letters."""
     arity = draw(st.integers(min_arity, 3))
-    exponents = st.tuples(*[st.integers(0, max_exponent)] * arity)
-    p = poly.polynomial(arity, draw(st.dictionaries(
-        exponents, st.integers(1, max_coefficient), min_size=1, max_size=4)))
+    p = draw(shared_tail_polynomials(arity, max_exponent, max_coefficient))
     return p, _lowered(draw(st.tuples(*[st.integers(1, 3)] * arity)), [p])
-
-
-def _prefixes(p, level):
-    """The distinct prefixes of length ``level`` of p's exponent vectors, in
-    order of first appearance among its terms: the nodes of that level."""
-    return list(dict.fromkeys(exponents[:level] for exponents, _ in p.terms))
 
 
 @given(compile_cases(2, 6, 3))
@@ -362,12 +381,11 @@ def test_compiled_gadgets_are_lumped_kronecker_powers(case):
     c = mtriple.compile_polynomial(p)
     assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
     assert not any(mtriple.validate(c.triple).values())
-    # each level holds one gadget block per node of the prefix tree, in
+    # each level holds one gadget block per node of the minimal DAG, in
     # order of first appearance, and the block's rows have no entry outside it
     m, at = morph.matrix_of(c.triple.g1), 0
     for li in range(1, p.arity + 1):
-        for prefix in _prefixes(p, li):
-            a = prefix[-1]
+        for a in dag_nodes(p, li):
             want = lump_by_subset_size(kron_power(a)) if a else [[0, 1], [0, 1]]
             for i, row in enumerate(want):
                 assert m.row_of(at + i) == {at + j: n for j, n in enumerate(row) if n}
@@ -380,25 +398,41 @@ def test_compiled_gadgets_are_lumped_kronecker_powers(case):
 def test_coefficients_are_handed_down_as_powers_of_e(case):
     p, point = case
     c = mtriple.compile_polynomial(p)
-    alphabet, g2 = c.triple.alphabet, c.triple.g2
-    # the witness holds each root block's first letter once
-    assert c.witness.length == len(c.witness.runs) == len(_prefixes(p, 1))
-    # each leaf ends one term and hands down e^c; every other hand-off
-    # holds each of its letters once, and level k's hand-offs together
-    # reach each node of level k + 1 once
-    handoffs, handed = {}, [0] * p.arity
-    for a, img in zip(alphabet.letters, g2.images):
-        if img.support() == {"e"}:
-            (_, count), = img.runs
-            handoffs[a] = count
-        elif img.runs:
-            assert [count for _, count in img.runs] == [1] * len(img.support())
-            handed[alphabet.level_of(a) - 1] += img.length
-    assert handed[:-1] == [len(_prefixes(p, li)) for li in range(2, p.arity + 1)]
-    last = alphabet.levels[p.arity - 1]
-    assert sorted(handoffs.values()) == sorted(coeff for _, coeff in p.terms)
-    assert set(handoffs) <= set(last)
+    alphabet, g1, g2 = c.triple.alphabet, c.triple.g1.table(), c.triple.g2.table()
+    # the root-to-leaf paths spell p's terms, and each node of p's minimal
+    # DAG is one block, reached by every path through it
+    blocks, terms = read_layout(alphabet, g1, g2, c.witness)
+    assert terms == dict(p.terms)
+    assert [list(level.values()) for level in blocks] == [dag_nodes(p, li) for li in range(1, p.arity + 1)]
+    # the edge into an exponent-0 leaf carries its term's coefficient, and
+    # that one leaf hands down e once; every other edge carries 1, and a
+    # positive-exponent leaf hands down e^c
+    leaves = blocks[-1]
+    assert list(leaves.values()).count(0) <= 1
+    for handoff in [c.witness] + [image for image in c.triple.g2.images if not image.is_empty]:
+        for z, n in handoff.runs:
+            if z != "e" and leaves.get(alphabet.index_of(z)) != 0:
+                assert n == 1
+    for first, a in leaves.items():
+        if a == 0:
+            assert lang.text(g2[alphabet.letters[first + 1]]) == "e"
     assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
+
+
+def test_identical_subtrees_share_one_block():
+    # x1·x2 + x1²·x2 + 3·x1 + 5: the leaf x2 serves the roots x1 and x1², and
+    # one exponent-0 leaf serves 3·x1 and 5, its edges counting 3 and 5;
+    # one block per term's leaf would need 4 more letters
+    p = poly.polynomial(2, {(1, 1): 1, (2, 1): 1, (1, 0): 3, (0, 0): 5})
+    c = mtriple.compile_polynomial(p)
+    assert c.triple.alphabet.level_sizes == (7, 4, 1)
+    # terms in order: 5, 3·x1, x1·x2, x1²·x2; roots 1.1 (x1^0), 1.3 (x1), 1.5 (x1²)
+    assert lang.text(c.witness) == "1.1 1.3 1.5"
+    assert [lang.text(c.triple.g2.image(a)) for a in ("1.2", "1.4", "1.7", "2.2", "2.4")] == [
+        "2.1^5", "2.1^3 2.3", "2.3", "e", "e"]
+    assert not any(mtriple.validate(c.triple).values())
+    for point in itertools.product((1, 2, 3), repeat=2):
+        assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
 
 
 def test_compile_rejects_zero():
@@ -455,44 +489,31 @@ def test_direct_sum_matches_pairwise_reference():
         assert (merged_a.witness, merged_b.witness) == (u, v)
 
 
-# ---------------------------------------------------------------- prefix-tree layout from exponents
-
-def _tree_letters(p):
-    """The letters of p's prefix tree, counted by hand: one block of
-    max(a, 1) + 1 letters per distinct prefix, a its last exponent."""
-    return sum(max(prefix[-1], 1) + 1 for li in range(1, p.arity + 1) for prefix in _prefixes(p, li))
-
+# ---------------------------------------------------------------- DAG layout from exponents
 
 @st.composite
-def shared_prefix_layouts(draw):
-    """One or two polynomials of arity 1-3, each with at most 6 terms that
-    keep a drawn prefix of one exponent vector and draw the rest
+def shared_tail_layouts(draw):
+    """One or two polynomials of arity 1-3 from :func:`shared_tail_polynomials`
     (exponents 0-3, coefficients 1-3); tags, head letters, and a point in
     {1..3} lowered until no word exceeds 3000 letters."""
     arity = draw(st.integers(1, 3))
-    vectors = st.tuples(*[st.integers(0, 3)] * arity)
-    polys = []
-    for _ in range(draw(st.integers(1, 2))):
-        base = draw(vectors)
-        kept = draw(st.lists(st.tuples(st.integers(0, arity), vectors), min_size=1, max_size=6))
-        polys.append(poly.polynomial(arity, {base[:k] + rest[k:]: draw(st.integers(1, 3))
-                                             for k, rest in kept}))
+    polys = [draw(shared_tail_polynomials(arity, 3, 3)) for _ in range(draw(st.integers(1, 2)))]
     tags = draw(st.sampled_from([None, ("A:", "B:"), ("T", "T")]))
     head = draw(st.sampled_from([(), ("c0",), ("c0", "c1", "c2", "c3")]))
     point = _lowered(draw(st.tuples(*[st.integers(1, 3)] * arity)), polys)
     return polys, tags and tags[:len(polys)], head, point
 
 
-@given(shared_prefix_layouts())
+@given(shared_tail_layouts())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_prefix_tree_layout_computes_each_polynomial(case):
     polys, tags, head, point = case
-    total = len(head) + sum(_tree_letters(p) for p in polys) + 1
+    total = len(head) + sum(dag_letters(p) for p in polys) + 1
     merged, g1, g2, witnesses = mtriple.lay_out_monomials(polys, tags, head, total, "merged total")
     assert len(merged) == total
     if tags == ("A:", "B:"):
         assert [sum(a.startswith(tag) for a in merged.letters) for tag in tags] == [
-            _tree_letters(p) for p in polys]
+            dag_letters(p) for p in polys]
     largest = max(sum(max(a, 1) + 1 for a in exponents) + 1 for p in polys for exponents, _ in p.terms)
     if total - 1 >= largest:
         with pytest.raises(AlphabetBudgetExceeded, match=rf"needs {total} > budget {total - 1} \(merged total\)"):
@@ -505,7 +526,9 @@ def test_prefix_tree_layout_computes_each_polynomial(case):
                              polys[0].arity)
     assert not any(mtriple.validate(triple).values())
     for p, witness in zip(polys, witnesses):
-        assert witness.length == len(witness.runs) == len(_prefixes(p, 1))
+        blocks, terms = read_layout(merged, g1, g2, witness)
+        assert terms == dict(p.terms)
+        assert [list(level.values()) for level in blocks] == [dag_nodes(p, li) for li in range(1, p.arity + 1)]
         c = mtriple.ComputableMap(triple, witness, p)
         assert mtriple.compute_word_level(c, point) == poly.evaluate(p, point)
 
