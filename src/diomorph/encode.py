@@ -6,11 +6,12 @@ endomorphisms g1 (level-preserving) and g2 (level-raising) such that linear
 equations over the generated morphism monoid reflect the solvability of
 p = q on positive integers.
 
-Construction outline.  Both polynomials are first composed with an injective
-tupling polynomial so that the last argument slot records the polynomial
-value alongside the input tuple (see :func:`diomorph.poly.injective_tupling`).
-The two tupled polynomials become two staged counters.  Each is the
-minimal DAG of its terms' prefix tree: a node at level k is one
+Construction outline.  Each polynomial p is first tupled: the injective
+pairing is nested over the slot polynomials x1, ..., xt, p, so that the last
+slot records the polynomial value alongside the input tuple (see
+:func:`diomorph.poly.tupling`; only sums and products are expanded, nothing
+is substituted).  The two tupled polynomials become two staged counters.
+Each is the minimal DAG of its terms' prefix tree: a node at level k is one
 power-gadget block for the exponent a_k, shared by every term whose first
 k exponents agree and by every identical subtree; g2 hands a block's last
 letter down to its children's first letters, one run each, as long as the
@@ -124,17 +125,17 @@ class Encoder:
         return mtriple.MTriple(self.alphabet, self.g1, self.g2, self.dimension)
 
 
-def tupled(p: poly.Polynomial, tupling: poly.Polynomial) -> poly.Polynomial:
-    """tupling(x1, ..., xt, p(x1, ..., xt)): the argument slots beside the value."""
-    return poly.compose(tupling, [poly.variable(i, p.arity) for i in range(1, p.arity + 1)] + [p])
+def tupled(p: poly.Polynomial) -> poly.Polynomial:
+    """The tupling of x1, ..., xt, p(x1, ..., xt): the argument slots beside the value."""
+    return poly.tupling([poly.variable(i, p.arity) for i in range(1, p.arity + 1)] + [p])
 
 
 def build_encoder(p: poly.Polynomial, q: poly.Polynomial, budget: int | None = None) -> Encoder:
     """Compile the pair (p, q) into the merged two-counter encoder.
 
-    Both polynomials are tupled with the (t+1)-ary iterated pairing
-    construction (:func:`diomorph.poly.injective_tupling`), which is
-    injective on positive tuples.  Each tupled polynomial is laid out as the
+    Each polynomial is tupled by nesting the pairing over its t + 1 slot
+    polynomials x1, ..., xt and itself (:func:`tupled`), which is injective
+    on positive tuples.  Each tupled polynomial is laid out as the
     minimal DAG of its terms' prefix tree of gadget blocks, straight from
     its exponents (:func:`diomorph.mtriple.lay_out_monomials`): terms that
     share their first k exponents share those k blocks, identical subtrees
@@ -148,8 +149,7 @@ def build_encoder(p: poly.Polynomial, q: poly.Polynomial, budget: int | None = N
         raise ArityMismatch("the encoder needs at least two argument slots")
     limit = alphabet_budget(budget)
 
-    tupling = poly.injective_tupling(t + 1)
-    p_tupled, q_tupled = tupled(p, tupling), tupled(q, tupling)
+    p_tupled, q_tupled = tupled(p), tupled(q)
 
     alphabet, g1_images, g2_images, (u, v) = mtriple.lay_out_monomials(
         (p_tupled, q_tupled), (f"{FIRST_TAG}:", f"{SECOND_TAG}:"), head=CONTROL_LETTERS,

@@ -146,13 +146,15 @@ def validate(triple: MTriple) -> dict[str, tuple[str, ...]]:
 
 # ------------------------------------------------------------------ power gadgets
 
-def _block_images(exponent: int) -> list[list[tuple[int, int]]]:
-    """Per-letter image runs (0-based index, count) of one level's gadget:
+def _block_images(exponent: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Per-letter images of one level's gadget, each as the 0-based index of
+    its first letter and the counts of that letter and the ones after it:
     letter i maps to letter j ≥ i C(exponent − i, j − i) times, the number
-    of size-j supersets of one size-i subset of {1..exponent}."""
+    of size-j supersets of one size-i subset of {1..exponent}, so its counts
+    are row exponent − i of Pascal's triangle."""
     if exponent == 0:
-        return [[(1, 1)], [(1, 1)]]  # a -> b, b -> b
-    return [[(j, comb(exponent - i, j - i)) for j in range(i, exponent + 1)]
+        return [(1, (1,)), (1, (1,))]  # a -> b, b -> b
+    return [(i, tuple(comb(exponent - i, m) for m in range(exponent - i + 1)))
             for i in range(exponent + 1)]
 
 
@@ -230,19 +232,6 @@ def lay_out(systems: Sequence[ComputableMap], context: str,
     return merged, g1, g2, witnesses
 
 
-def _check_exponents(exponents: Sequence[int], budget: int | None) -> None:
-    """Refuse a term without exponents or with a negative one, and a term
-    whose chain of blocks alone, with e, is over the budget."""
-    if len(exponents) < 1:
-        raise ValueError("need at least one exponent")
-    if any(a < 0 for a in exponents):
-        raise ValueError("exponents must be nonnegative")
-    limit = alphabet_budget(budget)
-    needed = sum(max(a, 1) + 1 for a in exponents) + 1
-    if needed > limit:
-        raise AlphabetBudgetExceeded(needed, limit, f"monomial with exponents {tuple(exponents)}")
-
-
 def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str] | None = None,
                       head: Sequence[Letter] = (), budget: int | None = None,
                       context: str = "side-by-side layout",
@@ -274,18 +263,26 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
     supplies the head letters' images) and each polynomial's witness.  The
     images are filled straight into the merged alphabet, each gadget's
     image runs are computed once per exponent, and the images, normal by
-    construction, share one empty word.  Errors, in order: per polynomial,
-    a zero polynomial, then per term an empty or negative exponent vector
-    or a chain of blocks over ``budget`` alone; then differing arities;
-    then the gadget runs of all blocks together against the default
+    construction, share one empty word.  Errors, in order: a budget below
+    1; per polynomial, a zero polynomial, then per term an empty or
+    negative exponent vector or a chain of blocks over ``budget`` alone;
+    then differing arities; then the gadget runs of all blocks together against the default
     expansion cap; then the merged total against ``budget`` (named by
     ``context``).
     """
+    limit = alphabet_budget(budget)
     for p in polynomials:
         if p.is_zero:
             raise ValueError("cannot compile the zero polynomial")
         for exponents, _ in p.terms:
-            _check_exponents(exponents, budget)
+            if not exponents:
+                raise ValueError("need at least one exponent")
+            if min(exponents) < 0:
+                raise ValueError("exponents must be nonnegative")
+            # the term's chain of blocks alone, max(a, 1) + 1 letters each, and e
+            needed = sum(exponents) + exponents.count(0) + len(exponents) + 1
+            if needed > limit:
+                raise AlphabetBudgetExceeded(needed, limit, f"monomial with exponents {tuple(exponents)}")
     t = polynomials[0].arity
     for p in polynomials:
         if p.arity != t:
@@ -303,30 +300,29 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
         # exponent-0 leaf carries the coefficient, so one such leaf serves
         # them all; a positive-exponent leaf hands down e^c instead, as a
         # count on its first letter would repeat the runs of its g1 images
-        edges: dict[tuple[int, ...], tuple[tuple, int]] = {}  # prefix -> (key, edge count)
-        for exponents, coeff in p.terms:
-            a = exponents[-1]
-            edges[exponents] = ((a, coeff), 1) if a else ((0, 1), coeff)
-        keys: dict[tuple[int, ...], tuple] = {}
+        edges: dict[tuple[int, ...], tuple[tuple, int]] = {  # prefix -> (key, edge count)
+            exponents: ((exponents[-1], coeff), 1) if exponents[-1] else ((0, 1), coeff)
+            for exponents, coeff in p.terms}
+        level_keys: list[list[tuple]] = []
         for _ in range(t):
-            keys.update((prefix, key) for prefix, (key, _) in edges.items())
+            level_keys.append([key for key, _ in edges.values()])
             below: dict[tuple[int, ...], set[tuple[tuple, int]]] = {}
             for prefix, edge in edges.items():
                 below.setdefault(prefix[:-1], set()).add(edge)
             edges = {prefix: ((prefix[-1], frozenset(children)), 1) for prefix, children in below.items() if prefix}
+        level_keys.reverse()
 
-        # top down, each distinct subtree is placed where it first appears
-        placed: list[dict[tuple, int]] = [{} for _ in range(t)]
-        for exponents, _ in p.terms:
-            for li in range(t):
-                key = keys[exponents[:li + 1]]
-                if key not in placed[li]:
-                    placed[li][key] = len(blocks[li])
-                    blocks[li].append((tags[k], key[0]))
-                    handoffs[li].append(key[1])
+        # top down, each distinct subtree is placed where it first appears in
+        # p.terms: each level's prefixes, and so its keys, come in the order
+        # in which the terms first reach them
+        placed: list[dict[tuple, int]] = []
+        for li, keys in enumerate(level_keys):
+            at = len(blocks[li])
+            placed.append({key: at + i for i, key in enumerate(dict.fromkeys(keys))})
+            blocks[li] += [(tags[k], key[0]) for key in placed[li]]
         for li in range(t - 1):
-            for node in placed[li].values():
-                handoffs[li][node] = sorted((placed[li + 1][child], n) for child, n in handoffs[li][node])
+            handoffs[li] += [sorted((placed[li + 1][child], n) for child, n in key[1]) for key in placed[li]]
+        handoffs[t - 1] += [key[1] for key in placed[t - 1]]
         roots.append(sorted((placed[0][child], n) for child, n in below[()]))
 
     # the runs grow with the square of an exponent and the letters only
@@ -343,15 +339,16 @@ def lay_out_monomials(polynomials: Sequence[poly.Polynomial], tags: Sequence[str
     eps = lang.epsilon(merged)
     g1: dict[Letter, Word] = {"e": eps}
     g2: dict[Letter, Word] = {"e": eps}
-    gadgets: dict[int, list[list[tuple[int, int]]]] = {}
+    gadgets: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for li, level in enumerate(blocks):
         for (_, exponent), at, handoff in zip(level, starts[li], handoffs[li]):
             if exponent not in gadgets:
                 gadgets[exponent] = _block_images(exponent)
-            for i, image_runs in enumerate(gadgets[exponent], start=at):
-                g1[letters[i]] = lang._normal_word(merged, tuple((letters[at + j], n) for j, n in image_runs))
-                g2[letters[i]] = eps
-            g2[letters[i]] = lang._normal_word(
+            block = letters[at:at + max(exponent, 1) + 1]
+            for z, (first, counts) in zip(block, gadgets[exponent]):
+                g1[z] = lang._normal_word(merged, tuple(zip(block[first:], counts)))
+                g2[z] = eps
+            g2[block[-1]] = lang._normal_word(
                 merged, (("e", handoff),) if li == t - 1
                 else tuple((letters[starts[li + 1][child]], n) for child, n in handoff))
     witnesses = [lang._normal_word(merged, tuple((letters[starts[0][node]], n) for node, n in nodes))

@@ -13,6 +13,7 @@ nonnegative semiring.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,12 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
+def _in_normal_order(terms: Sequence[tuple[Exponents, int]]) -> bool:
+    """Strictly increasing keys: sorted, and no exponent vector twice."""
+    keys = [_grlex_key(e) for e, _ in terms]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
 @dataclass(frozen=True)
 class Polynomial:
     arity: int
@@ -32,11 +39,8 @@ class Polynomial:
 
     def __post_init__(self):
         assert self.arity >= 1
-        for exps, coeff in self.terms:
-            assert len(exps) == self.arity and coeff > 0
-            assert all(e >= 0 for e in exps)
-        keys = [_grlex_key(e) for e, _ in self.terms]
-        assert keys == sorted(keys) and len(set(keys)) == len(keys), "not in normal form"
+        assert all(len(e) == self.arity and c > 0 and min(e) >= 0 for e, c in self.terms)
+        assert _in_normal_order(self.terms), "not in normal form"
 
     @property
     def is_zero(self) -> bool:
@@ -79,8 +83,13 @@ def polynomial(arity: int, coeffs: Mapping[Exponents, int] | Iterable[tuple[Expo
             raise ValueError(f"negative coefficient {coeff}")
         if coeff:
             acc[exps] = acc.get(exps, 0) + coeff
-    terms = tuple(sorted(((e, c) for e, c in acc.items() if c), key=lambda t: _grlex_key(t[0])))
-    return Polynomial(arity, terms)
+    return _normal(arity, acc)
+
+
+def _normal(arity: int, acc: Mapping[Exponents, int]) -> Polynomial:
+    """The polynomial of a table of valid exponent vectors and positive
+    coefficients, sorted into normal form without checking the table again."""
+    return Polynomial(arity, tuple(sorted(acc.items(), key=lambda t: _grlex_key(t[0]))))
 
 
 def zero(arity: int) -> Polynomial:
@@ -102,13 +111,16 @@ def variable(i: int, arity: int) -> Polynomial:
 def add(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.arity != b.arity:
         raise ArityMismatch(f"cannot add arity {a.arity} and {b.arity}")
-    return polynomial(a.arity, list(a.terms) + list(b.terms))
+    acc = dict(a.terms)
+    for exps, coeff in b.terms:
+        acc[exps] = acc.get(exps, 0) + coeff
+    return _normal(a.arity, acc)
 
 
 def mul(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.arity != b.arity:
         raise ArityMismatch(f"cannot multiply arity {a.arity} and {b.arity}")
-    return polynomial(a.arity, _product(a.terms, b.terms))
+    return _normal(a.arity, _product(a.terms, b.terms))
 
 
 def _product(a: Iterable[tuple[Exponents, int]],
@@ -117,7 +129,7 @@ def _product(a: Iterable[tuple[Exponents, int]],
     acc: dict[Exponents, int] = {}
     for ea, ca in a:
         for eb, cb in b:
-            key = tuple(x + y for x, y in zip(ea, eb))
+            key = tuple(map(operator.add, ea, eb))
             acc[key] = acc.get(key, 0) + ca * cb
     return acc
 
@@ -169,29 +181,26 @@ def compose(outer: Polynomial, args: Sequence[Polynomial]) -> Polynomial:
     return polynomial(inner_arity, acc)
 
 
-def lift(p: Polynomial, arity: int) -> Polynomial:
-    """Reinterpret p over a larger variable set (pads exponent vectors)."""
-    if arity < p.arity:
-        raise ArityMismatch(f"cannot lift arity {p.arity} down to {arity}")
-    pad = (0,) * (arity - p.arity)
-    return Polynomial(arity, tuple((e + pad, c) for e, c in p.terms))
+def tupling(slots: Sequence[Polynomial]) -> Polynomial:
+    """The pairing pair(a, b) = (a + b)^2 + a nested over the slot polynomials:
+    pair(... pair(pair(s1, s2), s3) ..., sk), expanded with add and mul.
 
-
-def pairing() -> Polynomial:
-    """(x1 + x2)^2 + x1: integer coefficients, injective on positive pairs.
-
-    Injectivity: for a fixed sum s = x1 + x2 the values fill the band
-    s^2 + 1 .. s^2 + s - 1, and the bands for distinct sums are disjoint.
+    The pairing is injective on positive pairs: for a fixed sum s = a + b its
+    values fill the band s^2 + 1 .. s^2 + s - 1, and the bands for distinct
+    sums are disjoint.  Its values are positive again, so the nesting is
+    injective on positive tuples of slot values.
     """
-    return polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1, (1, 0): 1})
+    if len(slots) < 2:
+        raise ValueError("injective tupling needs k >= 2")
+    acc = slots[0]
+    for b in slots[1:]:
+        s = add(acc, b)
+        acc = add(mul(s, s), acc)
+    return acc
 
 
 def injective_tupling(k: int) -> Polynomial:
-    """The k-ary nesting of the pairing polynomial, injective on positive tuples."""
-    if k < 2:
-        raise ValueError("injective tupling needs k >= 2")
-    result = pairing()
-    for j in range(3, k + 1):
-        args = [lift(result, j), variable(j, j)]
-        result = compose(pairing(), args)
-    return result
+    """The tupling of the variables x1, ..., xk: the k-ary nesting of the
+    pairing, injective on positive tuples.  A tupled polynomial equals it
+    with its slot polynomials substituted for the variables."""
+    return tupling([variable(i, k) for i in range(1, k + 1)])

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from itertools import product as iter_product
 from typing import Callable, Iterator, Sequence
 
 from . import matsem, poly
@@ -85,6 +84,21 @@ from .morph import apply
 # ---------------------------------------------------------------------------
 
 
+def box(bound: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of {1..bound}^length in lexicographic order, one at a time:
+    unlike ``itertools.product``, nothing the size of ``bound`` is built."""
+    point = [1] * length
+    while True:
+        yield tuple(point)
+        i = length - 1
+        while i >= 0 and point[i] == bound:
+            point[i] = 1
+            i -= 1
+        if i < 0:
+            return
+        point[i] += 1
+
+
 def diophantine_oracle(
     p: poly.Polynomial, q: poly.Polynomial, n: int, s: int, bound: int
 ) -> tuple[int, ...] | None:
@@ -99,8 +113,7 @@ def diophantine_oracle(
         raise ValueError("the oracle fixes the first two arguments")
     if n < 1 or s < 1 or bound < 1:
         raise ValueError("arguments and bound must be positive")
-    rest_len = p.arity - 2
-    for rest in iter_product(range(1, bound + 1), repeat=rest_len):
+    for rest in box(bound, p.arity - 2):
         point = (n, s) + rest
         if poly.evaluate(p, point) == poly.evaluate(q, point):
             return rest

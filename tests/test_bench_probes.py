@@ -32,7 +32,7 @@ TEST_ONLY = {
     "lang.flat_alphabet": "builds one-level test alphabets",
     "lang.leveled_alphabet": "builds test alphabets from their levels",
     "lang.word_concat": "concatenates words in the lang and morph tests",
-    "poly.add": "builds test polynomials",
+    "poly.injective_tupling": "the tupling of k variables, the reference that tupled polynomials are composed from",
     "poly.zero": "builds the zero polynomial that compiling refuses",
     "morph.Morphism.table": "copies an image table so that a test can corrupt it",
     "reporting.SuiteReport.failures": "names the failed checks in test assertions",

@@ -148,10 +148,9 @@ def test_compile_refuses_quadratic_gadget_runs_before_building_them(flags, run_p
     # exponent a >= 1 (2 for a = 0), one block per node of a tupled
     # polynomial's minimal DAG: over eight million, refused before any is built
     p, q = poly.polynomial(3, {(0, 1000, 0): 1}), poly.variable(3, 3)
-    tupling = poly.injective_tupling(4)
     runs = sum((a + 1) * (a + 2) // 2 if a else 2
                for side in (p, q) for level in range(1, 4)
-               for a in dag_nodes(encode.tupled(side, tupling), level))
+               for a in dag_nodes(encode.tupled(side), level))
     assert runs == 8_037_492
     start = time.perf_counter()
     run = run_python(
@@ -165,6 +164,22 @@ def test_compile_refuses_quadratic_gadget_runs_before_building_them(flags, run_p
     assert run.stdout == ""
     assert run.stderr == (f"error: expansion cap exceeded: needs {runs} > cap 1000000 "
                           "(power gadget runs of the merged encoder alphabet)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_oracle_walks_a_huge_box_lazily(flags, run_python):
+    # x2 against x3^2 at (1, 4) is solved by x3 = 2, the box's second point;
+    # a box that is listed before it is searched does not fit in the memory
+    p, q = poly.variable(2, 3), poly.mul(poly.variable(3, 3), poly.variable(3, 3))
+    run = run_python(
+        *flags, "-m", "diomorph.cli", "oracle", "-n", "1", "-s", "4", "-B", "99999999999",
+        "--p", json.dumps(interchange.polynomial_to_doc(p)),
+        "--q", json.dumps(interchange.polynomial_to_doc(q)), "--format", "machine",
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+    )
+    assert run.returncode == cli.EXIT_OK
+    assert run.stderr == ""
+    assert json.loads(run.stdout)["witness"] == [2]
 
 
 def _compile_and_report(p, q, t, points, oracle_bound, solver_bound, tmp_path, capsys):

@@ -80,12 +80,42 @@ def test_tupled_polynomials_record_value_in_last_slot(toy_encoder):
 
 def test_squares_tupling_has_a_slot_per_argument_and_one_for_the_value(squares_encoder):
     enc = squares_encoder
-    tupling = poly.injective_tupling(enc.dimension + 1)
-    assert enc.p_tupled == encode.tupled(enc.p, tupling)
-    assert enc.q_tupled == encode.tupled(enc.q, tupling)
+    assert enc.p_tupled == encode.tupled(enc.p)
+    assert enc.q_tupled == encode.tupled(enc.q)
     # injective on positive tuples: distinct points give distinct tupled values
     box = list(itertools.product(range(1, 4), repeat=3))
     assert len({poly.evaluate(enc.q_tupled, point) for point in box}) == len(box)
+
+
+@st.composite
+def slot_polynomials(draw):
+    """A polynomial in t = 2..4 variables, for the tupling of its slots."""
+    t = draw(st.integers(2, 4))
+    items = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * t), st.integers(1, 9)),
+                          min_size=1, max_size=3))
+    return poly.polynomial(t, items)
+
+
+@given(slot_polynomials())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_tupled_equals_the_tupling_composed_with_the_slots(p):
+    t = p.arity
+    slots = [poly.variable(i, t) for i in range(1, t + 1)] + [p]
+    assert encode.tupled(p) == poly.compose(poly.injective_tupling(t + 1), slots)
+
+
+def test_build_encoder_composes_no_polynomials(monkeypatch):
+    # the tupled polynomials are nested pairings of the slots, not substitutions
+    calls = []
+
+    def counting_compose(outer, args):
+        calls.append(outer)
+        return poly.compose(outer, args)
+
+    monkeypatch.setattr(poly, "compose", counting_compose)
+    x2, x3 = poly.variable(2, 3), poly.variable(3, 3)
+    build_encoder(x2, poly.mul(x3, x3))
+    assert calls == []
 
 
 def test_side_indices_partition_the_alphabet(toy_encoder):

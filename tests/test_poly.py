@@ -106,7 +106,7 @@ def test_eval_zero_polynomial():
 
 
 def test_eval_pairing_at_ones():
-    assert poly.evaluate(poly.pairing(), (1, 1)) == 5
+    assert poly.evaluate(poly.injective_tupling(2), (1, 1)) == 5
 
 
 def test_eval_rejects_nonpositive_entries():
@@ -137,16 +137,16 @@ def test_compose_square_shift():
 
 
 def test_compose_pairing_identity_args():
-    c2 = poly.pairing()
+    c2 = poly.injective_tupling(2)
     expanded = poly.compose(c2, [poly.variable(1, 2), poly.variable(2, 2)])
     assert expanded == poly.polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1, (1, 0): 1})
 
 
 def test_compose_arity_checks():
     with pytest.raises(ArityMismatch):
-        poly.compose(poly.pairing(), [poly.variable(1, 1)])
+        poly.compose(poly.injective_tupling(2), [poly.variable(1, 1)])
     with pytest.raises(ArityMismatch):
-        poly.compose(poly.pairing(), [poly.variable(1, 1), poly.variable(1, 2)])
+        poly.compose(poly.injective_tupling(2), [poly.variable(1, 1), poly.variable(1, 2)])
 
 
 # ---------------------------------------------------------------- tupling
@@ -184,6 +184,14 @@ def test_tupling_injective_on_pair_box():
 def test_tupling_rejects_small_k():
     with pytest.raises(ValueError):
         poly.injective_tupling(1)
+
+
+@pytest.mark.parametrize("k, side", [(3, 10), (4, 5), (5, 3), (6, 2)])
+def test_tupling_injective_on_a_box(k, side):
+    # k = 2 is test_tupling_injective_on_pair_box
+    c = poly.injective_tupling(k)
+    box = list(itertools.product(range(1, side + 1), repeat=k))
+    assert len({poly.evaluate(c, pt) for pt in box}) == len(box)
 
 
 # ---------------------------------------------------------------- properties
@@ -284,7 +292,7 @@ def test_compose_matches_reference(case):
 
 
 def test_compose_matches_reference_on_the_squares_tupling():
-    # the tupling composition that every three-variable encoder load repeats
+    # the squares pair's tupling, written as a substitution into the four-slot tupling
     args = [poly.variable(i, 3) for i in (1, 2, 3)]
     args.append(poly.mul(poly.variable(3, 3), poly.variable(3, 3)))
     tupling = poly.injective_tupling(4)

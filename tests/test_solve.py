@@ -61,6 +61,12 @@ def test_oracle_two_variable_pair_checks_directly():
     assert diophantine_oracle(p, q, 3, 4, 7) is None
 
 
+@given(st.integers(1, 5), st.integers(0, 4))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_box_walks_the_product_in_lexicographic_order(bound, length):
+    assert list(solve.box(bound, length)) == list(iter_product(range(1, bound + 1), repeat=length))
+
+
 def test_oracle_input_validation():
     p = poly.variable(2, 3)
     with pytest.raises(ValueError):
